@@ -171,8 +171,11 @@ echo "$stored" | grep -q '"small-cnn"' || { echo "stored replay never finished: 
 curl -sf "$serve_url/metrics" | grep -q '"dedup_hits"'
 # A short load test against the same live server...
 ./target/release/tensordash loadtest "$serve_url" --smoke
-# ...then assert the SIGTERM path drains and exits cleanly.
+# ...then assert the SIGTERM path drains and exits cleanly. The accept
+# loop blocks, so a lost wake would hang it: fail after 5 s instead.
 kill -TERM "$serve_pid"
+timeout 5 tail --pid="$serve_pid" -f /dev/null \
+  || { echo "serve still running 5 s after SIGTERM"; exit 1; }
 wait "$serve_pid" || { echo "serve did not exit cleanly after SIGTERM"; exit 1; }
 grep -q "shut down cleanly" "$serve_log"
 
@@ -207,10 +210,12 @@ done
 ./target/release/tensordash loadtest "$chaos_url" --chaos 7 --smoke
 # Even a fault-injected server must drain cleanly on SIGTERM.
 kill -TERM "$chaos_pid"
+timeout 5 tail --pid="$chaos_pid" -f /dev/null \
+  || { echo "chaos serve still running 5 s after SIGTERM"; exit 1; }
 wait "$chaos_pid" || { echo "chaos serve did not exit cleanly after SIGTERM"; exit 1; }
 grep -q "shut down cleanly" "$chaos_log"
 
-step "tensordash bench --smoke --baseline BENCH_10.json"
+step "tensordash bench --smoke --baseline BENCH_11.json"
 bench_report="$(mktemp -t tensordash-bench-XXXXXX.json)"
 trap 'kill "$serve_pid" "$chaos_pid" 2>/dev/null || true; rm -f "$smoke_config" "$smoke_report" "$serve_log" "$chaos_log" "$bench_report"; rm -rf "$train_dir" "$chaos_dir"' EXIT
 # The committed baseline gates kernel + source + store + service
@@ -223,10 +228,11 @@ trap 'kill "$serve_pid" "$chaos_pid" 2>/dev/null || true; rm -f "$smoke_config" 
 # the kernel rates, at a wider >50% tolerance — end-to-end socket
 # loadtests swing ±25% run-to-run). The baseline's absolute rates
 # reflect the machine that committed it — on substantially slower
-# hardware, regenerate it with `tensordash bench --out BENCH_10.json`
+# hardware, regenerate it with `tensordash bench --out BENCH_11.json`
 # rather than loosening the gate.
-./target/release/tensordash bench --smoke --baseline BENCH_10.json --out "$bench_report"
+./target/release/tensordash bench --smoke --baseline BENCH_11.json --out "$bench_report"
 grep -q '"step_speedup"' "$bench_report"
+grep -q '"nproc"' "$bench_report"
 # The wide-kernel leg must be measured and must beat the single-word
 # path — a silent fallback to the narrow kernel shows up here (the
 # numeric wide>narrow assertion runs inside the bench smoke test).

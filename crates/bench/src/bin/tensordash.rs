@@ -351,8 +351,9 @@ fn run_bench(args: &[String]) -> Result<(), String> {
         summary.service.latency_ms_p99
     );
     println!(
-        "total {:.2}s  -> wrote {}",
+        "total {:.2}s on {} cores  -> wrote {}",
         summary.total_wall_seconds,
+        summary.nproc,
         path.display()
     );
 

@@ -271,6 +271,9 @@ pub struct ServiceBench {
 pub struct BenchSummary {
     /// Whether this was the CI smoke variant.
     pub smoke: bool,
+    /// Logical CPUs this process could run on (what `nproc` prints). Rates
+    /// from two BENCH files only compare directly at equal counts.
+    pub nproc: usize,
     /// Scheduler-kernel measurements.
     pub kernel: KernelBench,
     /// Scheduler-family comparison (one entry per member, same workload).
@@ -468,8 +471,9 @@ impl BenchSummary {
             ),
         ]);
         Value::Table(vec![
-            ("schema".into(), Value::Str("tensordash-bench/9".into())),
+            ("schema".into(), Value::Str("tensordash-bench/10".into())),
             ("smoke".into(), Value::Bool(self.smoke)),
+            ("nproc".into(), self.nproc.serialize()),
             ("kernel".into(), kernel),
             ("schedulers".into(), schedulers),
             ("trace".into(), trace),
@@ -715,7 +719,7 @@ pub fn bench_kernel(smoke: bool) -> KernelBench {
 /// Measures every member of the scheduler family over one fixed
 /// row-group workload: the same 4 mixed-density streams the kernel
 /// group bench uses, run through each member's batched kernel. Each
-/// member's rate is measured with [`floored_rate`]'s minimum-wall
+/// member's rate is measured with `floored_rate`'s minimum-wall
 /// discipline, so the cheap arithmetic members (`dense` most of all)
 /// report commensurable masks/s instead of timer jitter. The modeled
 /// speedups are deterministic (same seeds every run) and double as a
@@ -1433,6 +1437,7 @@ pub fn run(options: &BenchOptions) -> std::io::Result<(PathBuf, BenchSummary)> {
     let service = bench_service(options.smoke);
     let summary = BenchSummary {
         smoke: options.smoke,
+        nproc: std::thread::available_parallelism().map_or(1, usize::from),
         kernel,
         schedulers,
         trace,
@@ -1564,6 +1569,7 @@ mod tests {
         assert!(schedulers.iter().all(|s| s.group_masks_per_sec > 0.0));
         let summary = BenchSummary {
             smoke: true,
+            nproc: 2,
             kernel,
             schedulers,
             trace,
@@ -1585,8 +1591,9 @@ mod tests {
         assert!(doc.get("schedulers").is_some());
         assert_eq!(
             doc.get("schema").unwrap().as_str().unwrap(),
-            "tensordash-bench/9"
+            "tensordash-bench/10"
         );
+        assert_eq!(doc.get("nproc").unwrap().as_u64().unwrap(), 2);
         assert!(doc.get("trace").is_some());
         assert!(doc.get("source").is_some());
         assert!(doc.get("store").is_some());
@@ -1608,6 +1615,7 @@ mod tests {
     fn baseline_diff_flags_regressions_and_skips_missing_sections() {
         let summary = BenchSummary {
             smoke: true,
+            nproc: 2,
             kernel: KernelBench {
                 steps_per_sec_batched: 5.0e6, // half the baseline: regressed
                 steps_per_sec_single_word: 2.0e6,
@@ -1659,6 +1667,7 @@ mod tests {
     fn baseline_diff_compares_models_for_matching_variants() {
         let summary = BenchSummary {
             smoke: false,
+            nproc: 2,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0e7,
                 steps_per_sec_single_word: 4.0e6,
@@ -1728,6 +1737,7 @@ mod tests {
     fn baseline_diff_compares_service_throughput_across_variants() {
         let summary = BenchSummary {
             smoke: true,
+            nproc: 2,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0,
                 steps_per_sec_single_word: 1.0,
@@ -1781,6 +1791,7 @@ mod tests {
     fn baseline_diff_gates_p90_latency_lower_is_better() {
         let mut summary = BenchSummary {
             smoke: true,
+            nproc: 2,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0,
                 steps_per_sec_single_word: 1.0,

@@ -119,10 +119,12 @@ impl Default for ServiceConfig {
 /// Everything a request handler or worker needs, shared via `Arc`.
 struct ServiceState {
     /// Finished reports are held behind `Arc` so status polls clone a
-    /// pointer, not the report bytes, under the queue lock. Each job
-    /// carries its effective deadline (config default, possibly
-    /// tightened per request).
-    queue: JobQueue<(ExperimentSpec, Option<Duration>), Arc<String>>,
+    /// pointer, not the report bytes, under the queue lock. They are
+    /// `Arc<str>`, sized to the report: the queue retains up to
+    /// `DEFAULT_FINISHED_RETENTION` of them, and a `String`'s growth
+    /// slack would ride along with each. Each job carries its effective
+    /// deadline (config default, possibly tightened per request).
+    queue: JobQueue<(ExperimentSpec, Option<Duration>), Arc<str>>,
     cache: TraceCache,
     /// The content-addressed trace store (`--trace-dir`), shared by
     /// uploads and replays across requests and restarts.
@@ -160,7 +162,7 @@ impl ServiceState {
         &self,
         spec: &ExperimentSpec,
         deadline: Option<Duration>,
-    ) -> Result<Arc<String>, JobFailure> {
+    ) -> Result<Arc<str>, JobFailure> {
         let cancel = match deadline {
             Some(deadline) => CancelToken::after(deadline),
             None => CancelToken::unbounded(),
@@ -184,7 +186,7 @@ impl ServiceState {
                 )),
                 other => JobFailure::Error(other.to_string()),
             })?;
-        Ok(Arc::new(json::write(&spec.report_document(&reports))))
+        Ok(Arc::from(json::write(&spec.report_document(&reports))))
     }
 
     fn metrics_document(&self) -> Value {
@@ -480,7 +482,7 @@ impl ServiceState {
         };
         if want_report {
             return match state {
-                JobState::Done(report) => Response::json(200, report.as_str()),
+                JobState::Done(report) => Response::json(200, &*report),
                 JobState::Failed(message) => error_json(500, &message),
                 JobState::TimedOut(message) => error_json(504, &message),
                 pending => {

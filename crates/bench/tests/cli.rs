@@ -308,7 +308,8 @@ fn bench_smoke_writes_a_perf_report() {
     assert!(text.contains("row-group"), "{text}");
     let json = std::fs::read_to_string(&out_path).unwrap();
     for key in [
-        "tensordash-bench/9",
+        "tensordash-bench/10",
+        "\"nproc\"",
         "steps_per_sec_single_word",
         "wide_speedup",
         "wall_seconds_8_threads",

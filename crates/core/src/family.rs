@@ -454,7 +454,7 @@ impl TstdScheduler {
 
     /// Runs a lockstep row-group with the word-parallel kernel: the
     /// per-stream decomposition overflow count runs four rows per
-    /// word-group stride ([`overflow_rows`]).
+    /// word-group stride (`overflow_rows`).
     ///
     /// # Panics
     ///

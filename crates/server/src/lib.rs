@@ -14,7 +14,7 @@
 //! * [`jobs`] — a bounded, generic [`JobQueue`]: back-pressure at
 //!   capacity, FIFO worker claiming, queryable job lifecycle, graceful
 //!   drain on shutdown;
-//! * [`server`] — the thread-pool [`Server`]: a polling
+//! * [`server`] — the thread-pool [`Server`]: a blocking
 //!   accept loop feeding connection-handler threads, shutting down
 //!   cooperatively on an in-process flag, `SIGTERM`, or an idle timeout;
 //! * [`retry`] — the client-side [`RetryPolicy`]: jittered exponential

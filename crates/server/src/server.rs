@@ -1,15 +1,20 @@
-//! The thread-pool HTTP server: a polling accept loop feeding a fixed
+//! The thread-pool HTTP server: a blocking accept loop feeding a fixed
 //! pool of connection-handler threads, with cooperative shutdown from
 //! three sources — an in-process [`ShutdownFlag`] (the `/v1/shutdown`
 //! route), `SIGTERM`, and an idle timeout consulted against the handler.
+//!
+//! Nothing polls on the request path. The accept loop sleeps inside
+//! `accept()`; whoever stops it sets a flag and then connects to the
+//! listener once, so that `accept()` returns, the loop sees the flag,
+//! drops the wake connection and exits.
 
 use crate::fault::{panic_message, Fault, FaultPlan, FaultSite};
 use crate::http::{read_request, ParseError, Request, Response};
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,18 +93,52 @@ pub trait Handler: Send + Sync + 'static {
 /// A cooperative shutdown signal shared between the accept loop and
 /// whoever wants to stop it (a route handler, a test, a signal).
 #[derive(Debug, Default)]
-pub struct ShutdownFlag(AtomicBool);
+pub struct ShutdownFlag {
+    requested: AtomicBool,
+    /// The listener [`request`](ShutdownFlag::request) connects to, so a
+    /// blocked `accept()` returns; `None` for a free-standing flag.
+    wake: Option<SocketAddr>,
+}
+
+/// How long a wake connect may take. It only waits on the kernel's
+/// handshake with a listener on this host, never on the accept loop.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 impl ShutdownFlag {
-    /// Requests shutdown; the accept loop notices within one poll tick.
+    /// A flag that wakes the listener bound at `bound` when requested.
+    fn waking(bound: SocketAddr) -> ShutdownFlag {
+        let mut wake = bound;
+        // A wildcard bind accepts on every interface; loopback reaches it.
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        ShutdownFlag {
+            requested: AtomicBool::new(false),
+            wake: Some(wake),
+        }
+    }
+
+    /// Requests shutdown: sets the flag, then connects once to the
+    /// server's listener so its blocked `accept()` returns and the loop
+    /// exits at once. Later calls do nothing; a call after the server
+    /// stopped costs one refused connect.
     pub fn request(&self) {
-        self.0.store(true, Ordering::SeqCst);
+        if self.requested.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        if let Some(addr) = self.wake {
+            // The accept loop drops this connection unanswered.
+            let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+        }
     }
 
     /// Whether shutdown was requested.
     #[must_use]
     pub fn is_requested(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.requested.load(Ordering::SeqCst)
     }
 }
 
@@ -150,8 +189,11 @@ mod sigterm {
     }
 }
 
-/// How often the accept loop checks its shutdown conditions.
-const POLL_TICK: Duration = Duration::from_millis(20);
+/// How often the lifecycle thread looks for `SIGTERM`. std cannot block
+/// on a signal, so this one check is a bounded sleep; it is off the
+/// request path and only sets how fast a signalled server starts its
+/// drain.
+const SIGNAL_CHECK: Duration = Duration::from_millis(100);
 
 /// A bound, not-yet-running server.
 pub struct Server {
@@ -172,13 +214,12 @@ impl Server {
     /// Returns the bind error.
     pub fn bind(config: ServerConfig, handler: Arc<dyn Handler>) -> io::Result<Server> {
         let listener = TcpListener::bind(config.addr)?;
-        listener.set_nonblocking(true)?;
         sigterm::install();
         Ok(Server {
+            shutdown: Arc::new(ShutdownFlag::waking(listener.local_addr()?)),
             listener,
             config,
             handler,
-            shutdown: Arc::new(ShutdownFlag::default()),
             faults: Arc::new(ServerFaultStats::default()),
         })
     }
@@ -208,13 +249,13 @@ impl Server {
     }
 
     /// Serves until shutdown is requested (flag, `SIGTERM`, or idle
-    /// timeout), then drains: queued connections are answered and pool
-    /// threads joined before returning.
+    /// timeout), then drains: every accepted connection is answered and
+    /// pool threads joined before returning.
     ///
     /// # Errors
     ///
-    /// Returns accept-loop I/O errors other than the expected
-    /// `WouldBlock`.
+    /// Returns an accept error other than `Interrupted`, after the
+    /// drain.
     pub fn run(self) -> io::Result<()> {
         let pool_size = self.config.connection_threads.max(1);
         // A rendezvous-ish channel: accepted connections queue only
@@ -250,56 +291,47 @@ impl Server {
             })
             .collect();
 
+        // Idle timeout and SIGTERM stop the loop through this private
+        // flag, so the public one records only an external request.
+        let stop = Arc::new(ShutdownFlag::waking(self.local_addr()));
+        let lifecycle = {
+            let stop = Arc::clone(&stop);
+            let handler = Arc::clone(&self.handler);
+            let last_activity = Arc::clone(&last_activity);
+            let idle = self.config.idle_shutdown;
+            std::thread::spawn(move || watch_lifecycle(&stop, idle, &last_activity, &*handler))
+        };
+
+        let mut outcome = Ok(());
         loop {
-            if self.shutdown.is_requested() || sigterm::received() {
+            let accepted = self.listener.accept();
+            if self.shutdown.is_requested() || stop.is_requested() {
+                // Whatever woke us (the wake connect or a late peer) is
+                // dropped unanswered.
                 break;
             }
-            if let Some(idle) = self.config.idle_shutdown {
-                let quiet = last_activity
-                    .lock()
-                    .expect("activity clock poisoned")
-                    .elapsed();
-                if quiet >= idle && self.handler.is_idle() {
+            match accepted {
+                // Blocks while the pool and its queue are full, so
+                // back-pressure reaches the TCP backlog.
+                Ok((stream, _peer)) => {
+                    if tx.send(stream).is_err() {
+                        // Every worker died; the drain below counts them.
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    outcome = Err(e);
                     break;
                 }
             }
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let mut pending = stream;
-                    // Busy pool: retry until a slot frees or shutdown.
-                    loop {
-                        match tx.try_send(pending) {
-                            Ok(()) => break,
-                            Err(TrySendError::Full(back)) => {
-                                if self.shutdown.is_requested() || sigterm::received() {
-                                    // Accepted but never handled: answer
-                                    // 503 rather than a silent reset.
-                                    let mut stream = back;
-                                    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-                                    let _ = Response::json(
-                                        503,
-                                        "{\"error\": \"server is shutting down\"}",
-                                    )
-                                    .with_header("retry-after", "1")
-                                    .write_to(&mut stream);
-                                    break;
-                                }
-                                pending = back;
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            Err(TrySendError::Disconnected(_)) => {
-                                unreachable!("pool outlives the accept loop")
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL_TICK);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
         }
+
+        // Release the lifecycle thread without a wake connect: nothing
+        // is blocked in `accept()` any more.
+        stop.requested.store(true, Ordering::SeqCst);
+        lifecycle.thread().unpark();
+        let _ = lifecycle.join();
 
         // Drain: close the channel, let workers finish queued connections.
         // A worker that died (its thread panicked outside the isolated
@@ -312,7 +344,40 @@ impl Server {
                 eprintln!("tensordash-server: a connection worker died; draining the rest");
             }
         }
-        Ok(())
+        outcome
+    }
+}
+
+/// The lifecycle thread behind [`Server::run`]: requests `stop` on
+/// `SIGTERM`, or once the server has been quiet for `idle` and the
+/// handler reports itself idle. It sleeps until the idle deadline,
+/// recomputed after every wake-up because each request moves it, but
+/// never longer than [`SIGNAL_CHECK`]. `run` unparks it to exit.
+fn watch_lifecycle(
+    stop: &ShutdownFlag,
+    idle: Option<Duration>,
+    last_activity: &Mutex<Instant>,
+    handler: &dyn Handler,
+) {
+    while !stop.is_requested() {
+        if sigterm::received() {
+            stop.request();
+            return;
+        }
+        let mut nap = SIGNAL_CHECK;
+        if let Some(idle) = idle {
+            let quiet = last_activity
+                .lock()
+                .expect("activity clock poisoned")
+                .elapsed();
+            if quiet < idle {
+                nap = nap.min(idle - quiet);
+            } else if handler.is_idle() {
+                stop.request();
+                return;
+            }
+        }
+        std::thread::park_timeout(nap);
     }
 }
 
@@ -471,7 +536,7 @@ mod tests {
 
     #[test]
     fn idle_timeout_shuts_the_server_down_by_itself() {
-        let (addr, _flag, handle) = spawn_echo(ServerConfig {
+        let (addr, flag, handle) = spawn_echo(ServerConfig {
             idle_shutdown: Some(Duration::from_millis(120)),
             ..ServerConfig::default()
         });
@@ -479,6 +544,63 @@ mod tests {
             client_request(addr, "GET", "/healthz", None, Duration::from_secs(10)).unwrap();
         assert_eq!(status, 200);
         handle.join().unwrap().unwrap();
+        assert!(!flag.is_requested(), "idle exit needs no external flag");
+    }
+
+    /// Fresh connections are accepted as they arrive. A 20 ms accept
+    /// tick would make these 100 requests take at least 2 s.
+    #[test]
+    fn sequential_fresh_connections_wait_on_no_tick() {
+        let (addr, flag, handle) = spawn_echo(ServerConfig::default());
+        let start = Instant::now();
+        for i in 0..100 {
+            let (status, body) = client_request(
+                addr,
+                "GET",
+                &format!("/seq/{i}"),
+                None,
+                Duration::from_secs(10),
+            )
+            .unwrap();
+            assert_eq!(status, 200, "{body}");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_secs(1),
+            "100 requests took {elapsed:?}"
+        );
+        flag.request();
+        handle.join().unwrap().unwrap();
+    }
+
+    /// With no traffic at all, the flag's wake connect alone unblocks
+    /// `accept()`.
+    #[test]
+    fn an_idle_server_stops_promptly_on_the_flag() {
+        let (_addr, flag, handle) = spawn_echo(ServerConfig::default());
+        // Let the accept loop block first.
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        flag.request();
+        handle.join().unwrap().unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "stop took {elapsed:?}");
+    }
+
+    /// A wildcard bind is woken through loopback.
+    #[test]
+    fn a_wildcard_bound_server_wakes_on_the_flag() {
+        let (addr, flag, handle) = spawn_echo(ServerConfig {
+            addr: SocketAddr::from(([0, 0, 0, 0], 0)),
+            ..ServerConfig::default()
+        });
+        assert!(addr.ip().is_unspecified(), "{addr}");
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        flag.request();
+        handle.join().unwrap().unwrap();
+        let elapsed = start.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "stop took {elapsed:?}");
     }
 
     /// Panic isolation: a panicking route answers 500 with the panic

@@ -15,7 +15,7 @@
 //! — the dominant cost of every simulation, with no per-cycle dispatch.
 //!
 //! The sampled region of one operation is additionally exposed as a
-//! [`SampledPlan`]: a list of per-tile-row-group chunks the batch
+//! `SampledPlan`: a list of per-tile-row-group chunks the batch
 //! simulator shards across its work-stealing pool, so a single big
 //! (transformer-shaped) operation parallelizes *within* one model run.
 //! Chunk aggregates are exact `u64` sums, so the input-ordered reduction
