@@ -21,6 +21,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --quiet
 step "cargo test -q --workspace"
 cargo test -q --workspace
 
+step "perfbench build + tests against this tree"
+# The repository benchmark calls the workspace's public entry points
+# (README "Entry points"); building it here turns a break of one into a
+# red CI run instead of a broken benchmark. Its lockfile is path-only.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 step "nn golden-reference suite (vectorized kernels bit-identical to scalar)"
 # Run the property suite by name so a red kernel is impossible to miss in
 # the CI log even though the workspace run above already covers it.

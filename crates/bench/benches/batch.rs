@@ -76,7 +76,7 @@ fn bench_batch_scheduling(c: &mut Criterion) {
         bench_group.bench_with_input(
             BenchmarkId::new("work_stealing", threads),
             &threads,
-            |b, _| b.iter(|| sim.simulate_batch(&groups)),
+            |b, _| b.iter(|| sim.simulate_model("batch", &groups)),
         );
         bench_group.bench_with_input(
             BenchmarkId::new("static_chunks", threads),
@@ -89,7 +89,7 @@ fn bench_batch_scheduling(c: &mut Criterion) {
     // Balance sanity: both schedules must produce identical reports.
     let sim = Simulator::paper().with_threads(4);
     assert_eq!(
-        sim.simulate_batch(&groups),
+        sim.simulate_model("batch", &groups).layers,
         simulate_static_chunks(&sim, &groups, 4),
         "schedules diverged"
     );

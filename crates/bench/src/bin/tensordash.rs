@@ -733,9 +733,9 @@ fn run_loadtest(args: &[String]) -> Result<(), String> {
 fn print_list() {
     println!("named experiments (run with `tensordash run <name>`):\n");
     for exp in experiment::registry() {
-        println!("  {:<8} {}", exp.name, exp.summary);
+        println!("  {:<17} {}", exp.name, exp.summary);
     }
-    println!("  {:<8} every experiment above, in order", "all");
+    println!("  {:<17} every experiment above, in order", "all");
     println!("\nzoo models for --config files:\n");
     for model in experiment::zoo_models() {
         println!("  {:<16} {} layers", model.name, model.layers.len());

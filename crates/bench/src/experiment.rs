@@ -32,13 +32,13 @@ use tensordash_sim::{CancelToken, ChipConfig, EvalSpec, ModelReport, Simulator, 
 use tensordash_store::TraceStore;
 use tensordash_trace::{RecordedSource, TraceSource};
 
-/// How a run resolves its trace sources. The local CLI trusts bare
-/// filesystem paths ([`SourceContext::local`]); the resident service
-/// confines `recorded` paths to its `--trace-dir` and resolves `stored`
-/// digests against the shared [`TraceStore`]
+/// How a run resolves its trace sources, and when it gives up. The local
+/// CLI trusts bare filesystem paths ([`SourceContext::local`]); the
+/// resident service confines `recorded` paths to its `--trace-dir` and
+/// resolves `stored` digests against the shared [`TraceStore`]
 /// ([`SourceContext::service`]) — a request can never read a file the
 /// operator did not place (or a client did not upload) under that root.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct SourceContext<'a> {
     /// The content-addressed store `stored` digests resolve against.
     pub store: Option<&'a TraceStore>,
@@ -49,6 +49,11 @@ pub struct SourceContext<'a> {
     /// Without a `trace_root`, untrusted contexts reject `recorded`
     /// specs outright.
     pub direct_paths: bool,
+    /// Checked at every simulation work-item boundary; a fired token (a
+    /// job deadline) aborts the run with
+    /// [`ExperimentError::DeadlineExceeded`]. Unbounded unless set with
+    /// [`with_cancel`](SourceContext::with_cancel).
+    pub cancel: CancelToken,
 }
 
 impl<'a> SourceContext<'a> {
@@ -59,6 +64,7 @@ impl<'a> SourceContext<'a> {
             store: None,
             trace_root: None,
             direct_paths: true,
+            cancel: CancelToken::unbounded(),
         }
     }
 
@@ -72,6 +78,7 @@ impl<'a> SourceContext<'a> {
             store,
             trace_root: store.map(TraceStore::root),
             direct_paths: false,
+            cancel: CancelToken::unbounded(),
         }
     }
 
@@ -80,6 +87,13 @@ impl<'a> SourceContext<'a> {
     #[must_use]
     pub fn with_store(mut self, store: &'a TraceStore) -> Self {
         self.store = Some(store);
+        self
+    }
+
+    /// Runs under `cancel` (the service's job deadline).
+    #[must_use]
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
+        self.cancel = cancel;
         self
     }
 
@@ -262,47 +276,28 @@ impl ExperimentSpec {
         }
     }
 
-    /// Runs the experiment: one [`ModelReport`] per resolved model
-    /// (calibrated source), or one report for the replayed recording.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_with`](ExperimentSpec::run_with).
-    pub fn run(&self) -> Result<Vec<ModelReport>, ExperimentError> {
-        self.run_cached(&TraceCache::new())
-    }
-
-    /// As [`run`](ExperimentSpec::run), building traces through `cache`.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_with`](ExperimentSpec::run_with).
-    pub fn run_cached(&self, cache: &TraceCache) -> Result<Vec<ModelReport>, ExperimentError> {
-        self.run_with(cache, &mut |_, _| {})
-    }
-
-    /// As [`run_in`](ExperimentSpec::run_in) under the local CLI's trust
-    /// rules (direct filesystem paths, no store).
+    /// Runs the experiment under the local CLI's trust rules (direct
+    /// filesystem paths, no store) with a fresh trace cache.
     ///
     /// # Errors
     ///
     /// As [`run_in`](ExperimentSpec::run_in).
-    pub fn run_with(
-        &self,
-        cache: &TraceCache,
-        observe: &mut dyn FnMut(&str, f64),
-    ) -> Result<Vec<ModelReport>, ExperimentError> {
-        self.run_in(cache, &SourceContext::local(), observe)
+    pub fn run(&self) -> Result<Vec<ModelReport>, ExperimentError> {
+        self.run_in(&TraceCache::new(), &SourceContext::local(), &mut |_, _| {})
     }
 
     /// The one execution path every consumer shares — the one-shot CLI,
     /// the resident service, and tests all produce their reports here, so
-    /// `serve` == `--config` == direct [`Simulator`] byte-for-byte.
-    /// `ctx` decides how trace sources resolve (direct paths locally, the
-    /// `--trace-dir` jail and content-addressed store in the service);
-    /// `observe(label, wall_seconds)` is called once per evaluated
+    /// `serve` == `--config` == direct [`Simulator`] byte-for-byte: one
+    /// [`ModelReport`] per resolved model (calibrated source), or one
+    /// report for the replayed recording. `ctx` decides how trace sources
+    /// resolve (direct paths locally, the `--trace-dir` jail and
+    /// content-addressed store in the service) and carries the cancel
+    /// token; `observe(label, wall_seconds)` is called once per evaluated
     /// workload (the service's `/metrics` hook). A `stored` trace is
     /// pinned against concurrent GC for the duration of its replay.
+    /// Cancellation cannot poison the shared [`TraceCache`]: trace builds
+    /// always run to completion, only simulation work is abandoned.
     ///
     /// # Errors
     ///
@@ -310,58 +305,36 @@ impl ExperimentSpec {
     /// as [`resolve_models`](ExperimentSpec::resolve_models);
     /// [`ExperimentError::RecordedWithModels`] when a recorded or stored
     /// source is combined with a model list (a recording *is* the
-    /// workload); and [`ExperimentError::Source`] for unreadable/corrupt/
+    /// workload); [`ExperimentError::Source`] for unreadable/corrupt/
     /// escaping artifacts, missing store objects, or a replay mismatch
-    /// (e.g. lane width).
+    /// (e.g. lane width); and [`ExperimentError::DeadlineExceeded`] when
+    /// `ctx.cancel` fires before the reports are complete.
     pub fn run_in(
         &self,
         cache: &TraceCache,
         ctx: &SourceContext<'_>,
         observe: &mut dyn FnMut(&str, f64),
     ) -> Result<Vec<ModelReport>, ExperimentError> {
-        self.run_in_cancellable(cache, ctx, observe, &CancelToken::unbounded())
-    }
-
-    /// As [`run_in`](ExperimentSpec::run_in) under a cancel token — the
-    /// service's job-deadline path. The token is checked at every
-    /// (layer, op) simulation boundary; a fired token aborts the run with
-    /// [`ExperimentError::DeadlineExceeded`]. Cancellation cannot poison
-    /// the shared [`TraceCache`]: trace builds always run to completion,
-    /// only simulation work is abandoned.
-    ///
-    /// # Errors
-    ///
-    /// As [`run_in`](ExperimentSpec::run_in), plus
-    /// [`ExperimentError::DeadlineExceeded`] when `cancel` fires before
-    /// the reports are complete.
-    pub fn run_in_cancellable(
-        &self,
-        cache: &TraceCache,
-        ctx: &SourceContext<'_>,
-        observe: &mut dyn FnMut(&str, f64),
-        cancel: &CancelToken,
-    ) -> Result<Vec<ModelReport>, ExperimentError> {
         let sim = Simulator::new(self.chip);
+        // Every source kind produces its report through this one call, so
+        // a trace gives byte-identical results however it arrived.
+        let mut eval = |source: &dyn TraceSource| {
+            let t0 = Instant::now();
+            let report = sim
+                .eval_source(source, &self.eval, cache, source.label(), &ctx.cancel)
+                .map_err(|e| match e {
+                    EvalAbort::Source(e) => ExperimentError::Source(e.to_string()),
+                    EvalAbort::Cancelled => ExperimentError::DeadlineExceeded,
+                })?;
+            observe(source.label(), t0.elapsed().as_secs_f64());
+            Ok(report)
+        };
         match &self.eval.source {
-            TraceSourceSpec::Calibrated => {
-                let models = self.resolve_models()?;
-                let mut reports = Vec::with_capacity(models.len());
-                for model in &models {
-                    let t0 = Instant::now();
-                    let report = sim
-                        .eval_model_cached_cancellable(
-                            model,
-                            &self.eval,
-                            cache,
-                            &model.name,
-                            cancel,
-                        )
-                        .map_err(|_| ExperimentError::DeadlineExceeded)?;
-                    observe(&model.name, t0.elapsed().as_secs_f64());
-                    reports.push(report);
-                }
-                Ok(reports)
-            }
+            TraceSourceSpec::Calibrated => self
+                .resolve_models()?
+                .iter()
+                .map(|model| eval(model))
+                .collect(),
             TraceSourceSpec::Recorded { path } => {
                 if !self.models.is_empty() {
                     return Err(ExperimentError::RecordedWithModels);
@@ -373,7 +346,7 @@ impl ExperimentSpec {
                 let source = RecordedSource::from_bytes(&bytes).map_err(|e| {
                     ExperimentError::Source(format!("invalid recorded artifact `{path}`: {e}"))
                 })?;
-                self.replay(&sim, &source, cache, observe, cancel)
+                Ok(vec![eval(&source)?])
             }
             TraceSourceSpec::Stored { digest } => {
                 if !self.models.is_empty() {
@@ -384,32 +357,9 @@ impl ExperimentSpec {
                 let source = store
                     .load(parsed)
                     .map_err(|e| ExperimentError::Source(e.to_string()))?;
-                self.replay(&sim, &source, cache, observe, cancel)
+                Ok(vec![eval(&source)?])
             }
         }
-    }
-
-    /// The shared tail of both replay arms: recorded files and stored
-    /// objects produce their reports through the exact same calls, so a
-    /// trace gives byte-identical results however it arrived.
-    fn replay(
-        &self,
-        sim: &Simulator,
-        source: &RecordedSource,
-        cache: &TraceCache,
-        observe: &mut dyn FnMut(&str, f64),
-        cancel: &CancelToken,
-    ) -> Result<Vec<ModelReport>, ExperimentError> {
-        let label = source.label().to_string();
-        let t0 = Instant::now();
-        let report = sim
-            .eval_source_cached_cancellable(source, &self.eval, cache, &label, cancel)
-            .map_err(|e| match e {
-                EvalAbort::Source(e) => ExperimentError::Source(e.to_string()),
-                EvalAbort::Cancelled => ExperimentError::DeadlineExceeded,
-            })?;
-        observe(&label, t0.elapsed().as_secs_f64());
-        Ok(vec![report])
     }
 
     /// Packages the spec and its reports as one self-describing document —
@@ -562,7 +512,8 @@ impl NamedExperiment {
     }
 }
 
-/// The registry of named experiments, in the paper's presentation order.
+/// The registry of named experiments: the paper's tables and figures in
+/// presentation order, then the two analysis studies.
 #[must_use]
 pub fn registry() -> &'static [NamedExperiment] {
     &[
@@ -651,6 +602,16 @@ pub fn registry() -> &'static [NamedExperiment] {
                 experiments::gcn::run();
             },
         },
+        NamedExperiment {
+            name: "calibrate_tile",
+            summary: "Ablation: tile efficiency vs sparsity, PE rows and clustering",
+            runner: experiments::calibrate_tile::run,
+        },
+        NamedExperiment {
+            name: "compression_study",
+            summary: "§3.6 extension: scheduled-form compression vs CompressingDMA",
+            runner: experiments::compression_study::run,
+        },
     ]
 }
 
@@ -732,7 +693,7 @@ mod tests {
         let mut deduped = names.clone();
         deduped.dedup();
         assert_eq!(names, deduped);
-        assert_eq!(names.len(), 13);
+        assert_eq!(names.len(), 15);
         assert!(find("FIG13").is_some());
         assert!(find("nope").is_none());
     }

@@ -1,5 +1,5 @@
-//! Calibration / ablation tool: tile efficiency (achieved ÷ ideal speedup)
-//! as a function of uniform sparsity, row count, and clustering. Quantifies
+//! Calibration / ablation: tile efficiency (achieved ÷ ideal speedup) as
+//! a function of uniform sparsity, row count, and clustering. Quantifies
 //! the cost of the shared dense-side window (per-cycle min-advance
 //! synchronization) that Fig 17 sweeps.
 
@@ -7,7 +7,8 @@ use tensordash_core::PeGeometry;
 use tensordash_sim::{Tile, TileConfig};
 use tensordash_trace::{ClusteredSparsity, SparsityGen};
 
-fn main() {
+/// Runs the ablation, printing one row per (clustering, sparsity) pair.
+pub fn run() {
     let rows_list = [1usize, 2, 4, 8, 16];
     println!("tile speedup over dense baseline (uniform streams, 3-deep, 16 lanes)");
     println!(

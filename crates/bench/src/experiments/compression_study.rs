@@ -4,15 +4,15 @@
 //!
 //! The paper proposes storing tensors in scheduled `(v, idx)` form to
 //! shrink footprint and on-chip accesses but leaves the evaluation to
-//! future work; this binary quantifies the trade-off across sparsity
+//! future work; this study quantifies the trade-off across sparsity
 //! levels and both staging depths.
 
+use crate::csvout::write_csv;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use tensordash_bench::write_csv;
 use tensordash_core::compress::dma_transfer_bits;
 use tensordash_core::{Connectivity, PeGeometry, ScheduledTensor};
 
-/// Local helper re-exported shape; see `tensordash_core::compress`.
+/// `rows` random 16-lane FP32 rows at the given zero fraction.
 fn dense_rows(seed: u64, rows: usize, sparsity: f64) -> Vec<Vec<f32>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..rows)
@@ -30,7 +30,8 @@ fn dense_rows(seed: u64, rows: usize, sparsity: f64) -> Vec<Vec<f32>> {
         .collect()
 }
 
-fn main() {
+/// Runs the study, printing its table and writing `compression_study.csv`.
+pub fn run() {
     let deep = Connectivity::paper(PeGeometry::paper());
     let shallow = Connectivity::paper(PeGeometry::paper_shallow());
     println!("scheduled-form compression vs CompressingDMA (4096 rows x 16, FP32)");

@@ -3,10 +3,11 @@
 //!
 //! [`EvalSpec`] itself lives in `tensordash-sim` (re-exported here for
 //! compatibility) so that one serializable pair — chip + spec — describes
-//! an experiment. This module contributes the evaluation glue: resolve a
-//! workload's traces through any [`TraceSource`] — the calibrated zoo
-//! profiles, a recorded training artifact, or an in-memory provider —
-//! and drive the whole batch through [`Simulator::simulate_batch`]. The
+//! an experiment. This module contributes the evaluation glue,
+//! [`ModelEval::eval_source`]: resolve a workload's traces through any
+//! [`TraceSource`] — the calibrated zoo profiles, a recorded training
+//! artifact, or an in-memory provider — and drive the whole batch through
+//! [`Simulator::simulate_batch`]. The
 //! [`TraceCache`] lets multi-chip sweeps (and the resident service) build
 //! each source's traces **once** and simulate them on every chip
 //! geometry; since the `TraceSource` refactor its keys carry the *source
@@ -17,7 +18,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use tensordash_models::ModelSpec;
-use tensordash_sim::{CancelToken, Cancelled, ChipConfig, ModelReport, Simulator};
+use tensordash_sim::{CancelToken, Cancelled, ModelReport, Simulator};
 use tensordash_trace::{LayerOps, OpTrace, SourceError, TraceRequest, TraceSource};
 
 pub use tensordash_sim::{EvalSpec, EvalSpecBuilder, EvalSpecError};
@@ -215,31 +216,6 @@ impl TraceCache {
         Ok(built)
     }
 
-    /// The traces of zoo `model` under `spec` at `lanes` lanes — the
-    /// calibrated special case of
-    /// [`source_traces`](TraceCache::source_traces).
-    #[must_use]
-    pub fn layer_traces(
-        &self,
-        model: &ModelSpec,
-        spec: &EvalSpec,
-        lanes: usize,
-    ) -> Arc<ModelTraces> {
-        // `ModelSpec` implements `TraceSource` directly, so the borrowed
-        // model is the source — no per-lookup clone of its layer list.
-        self.source_traces(model, spec, lanes)
-            .unwrap_or_else(|e| unreachable!("calibrated sources are infallible: {e}"))
-    }
-
-    /// `(hits, misses)` so far.
-    #[must_use]
-    pub fn stats(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
     /// Hit/miss/eviction counters.
     #[must_use]
     pub fn counters(&self) -> TraceCacheStats {
@@ -267,7 +243,7 @@ impl TraceCache {
     }
 }
 
-/// Why a cancellable evaluation produced no report.
+/// Why [`ModelEval::eval_source`] produced no report.
 #[derive(Debug)]
 pub enum EvalAbort {
     /// The trace source failed to build.
@@ -300,56 +276,22 @@ impl From<Cancelled> for EvalAbort {
     }
 }
 
-/// Workload evaluation on a [`Simulator`] session: zoo models and
-/// arbitrary [`TraceSource`]s, cached or not, all landing in the same
-/// [`Simulator::simulate_batch`] path.
+/// Workload evaluation on a [`Simulator`] session: every report comes
+/// out of [`eval_source`](ModelEval::eval_source) — a trace-cache lookup,
+/// then [`Simulator::simulate_batch`].
 pub trait ModelEval {
-    /// Evaluates one model: every layer, all three operations, TensorDash
-    /// and baseline, (layer, op) work items stolen across the available
-    /// cores.
-    fn eval_model(&self, model: &ModelSpec, spec: &EvalSpec) -> ModelReport;
-
-    /// As [`eval_model`](ModelEval::eval_model) with an explicit report
-    /// label (used by sweeps that evaluate one model on several chip
-    /// geometries).
-    fn eval_model_labeled(&self, model: &ModelSpec, spec: &EvalSpec, label: &str) -> ModelReport;
-
-    /// As [`eval_model_labeled`](ModelEval::eval_model_labeled), building
-    /// the traces through `cache` — chip-geometry sweeps hit the cache for
-    /// every chip after the first and only pay for simulation.
-    fn eval_model_cached(
-        &self,
-        model: &ModelSpec,
-        spec: &EvalSpec,
-        cache: &TraceCache,
-        label: &str,
-    ) -> ModelReport;
-
     /// Evaluates any [`TraceSource`] through `cache`, labelling the
-    /// report with `label` (pass [`TraceSource::label`] for the default).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's build error.
-    fn eval_source_cached(
-        &self,
-        source: &dyn TraceSource,
-        spec: &EvalSpec,
-        cache: &TraceCache,
-        label: &str,
-    ) -> Result<ModelReport, SourceError>;
-
-    /// As [`eval_source_cached`](ModelEval::eval_source_cached), checking
-    /// `cancel` at every (layer, op) work-item boundary — the service's
-    /// job-deadline path. The trace build itself is not cancellable (a
-    /// complete build is what keeps the shared cache poison-free), only
-    /// the simulation is.
+    /// report with `label` (pass [`TraceSource::label`] for the default)
+    /// and checking `cancel` at every *(layer, op, chunk)* work-item
+    /// boundary — the service's job-deadline path. The trace build itself
+    /// is not cancellable (a complete build is what keeps the shared
+    /// cache poison-free), only the simulation is.
     ///
     /// # Errors
     ///
     /// [`EvalAbort::Source`] when the source fails to build,
     /// [`EvalAbort::Cancelled`] when the token fires mid-simulation.
-    fn eval_source_cached_cancellable(
+    fn eval_source(
         &self,
         source: &dyn TraceSource,
         spec: &EvalSpec,
@@ -358,62 +300,9 @@ pub trait ModelEval {
         cancel: &CancelToken,
     ) -> Result<ModelReport, EvalAbort>;
 
-    /// As [`eval_model_cached`](ModelEval::eval_model_cached) under a
-    /// cancel token — the calibrated arm of the deadline path.
-    ///
-    /// # Errors
-    ///
-    /// [`Cancelled`] when the token fires mid-simulation.
-    fn eval_model_cached_cancellable(
-        &self,
-        model: &ModelSpec,
-        spec: &EvalSpec,
-        cache: &TraceCache,
-        label: &str,
-        cancel: &CancelToken,
-    ) -> Result<ModelReport, Cancelled>;
-}
-
-fn simulate_traces(sim: &Simulator, traces: &ModelTraces, label: &str) -> ModelReport {
-    let groups: Vec<(&str, &[OpTrace])> = traces
-        .iter()
-        .map(|(name, ops)| (name.as_str(), ops.as_slice()))
-        .collect();
-    sim.simulate_model(label, &groups)
-}
-
-fn simulate_traces_cancellable(
-    sim: &Simulator,
-    traces: &ModelTraces,
-    label: &str,
-    cancel: &CancelToken,
-) -> Result<ModelReport, Cancelled> {
-    let groups: Vec<(&str, &[OpTrace])> = traces
-        .iter()
-        .map(|(name, ops)| (name.as_str(), ops.as_slice()))
-        .collect();
-    sim.simulate_model_cancellable(label, &groups, cancel)
-}
-
-impl ModelEval for Simulator {
-    fn eval_model(&self, model: &ModelSpec, spec: &EvalSpec) -> ModelReport {
-        self.eval_model_labeled(model, spec, &model.name)
-    }
-
-    fn eval_model_labeled(&self, model: &ModelSpec, spec: &EvalSpec, label: &str) -> ModelReport {
-        let request = TraceRequest {
-            progress: spec.progress,
-            lanes: self.chip().tile.pe.lanes(),
-            sample: spec.sample,
-            seed: spec.seed,
-        };
-        // `ModelSpec` is its own `TraceSource` — borrowed, clone-free.
-        let traces = model
-            .layer_ops(&request)
-            .unwrap_or_else(|e| unreachable!("calibrated sources are infallible: {e}"));
-        simulate_traces(self, &traces, label)
-    }
-
+    /// Evaluates zoo `model` through `cache` under an unbounded token —
+    /// chip-geometry sweeps hit the cache for every chip after the first
+    /// and only pay for simulation.
     fn eval_model_cached(
         &self,
         model: &ModelSpec,
@@ -421,24 +310,20 @@ impl ModelEval for Simulator {
         cache: &TraceCache,
         label: &str,
     ) -> ModelReport {
-        let lanes = self.chip().tile.pe.lanes();
-        let traces = cache.layer_traces(model, spec, lanes);
-        simulate_traces(self, &traces, label)
+        self.eval_source(model, spec, cache, label, &CancelToken::unbounded())
+            .unwrap_or_else(|e| unreachable!("calibrated sources never fail or cancel: {e}"))
     }
 
-    fn eval_source_cached(
-        &self,
-        source: &dyn TraceSource,
-        spec: &EvalSpec,
-        cache: &TraceCache,
-        label: &str,
-    ) -> Result<ModelReport, SourceError> {
-        let lanes = self.chip().tile.pe.lanes();
-        let traces = cache.source_traces(source, spec, lanes)?;
-        Ok(simulate_traces(self, &traces, label))
+    /// Evaluates one model: every layer, all three operations, TensorDash
+    /// and baseline, work items stolen across the available cores. The
+    /// traces are built for this call alone.
+    fn eval_model(&self, model: &ModelSpec, spec: &EvalSpec) -> ModelReport {
+        self.eval_model_cached(model, spec, &TraceCache::new(), &model.name)
     }
+}
 
-    fn eval_source_cached_cancellable(
+impl ModelEval for Simulator {
+    fn eval_source(
         &self,
         source: &dyn TraceSource,
         spec: &EvalSpec,
@@ -446,54 +331,23 @@ impl ModelEval for Simulator {
         label: &str,
         cancel: &CancelToken,
     ) -> Result<ModelReport, EvalAbort> {
-        let lanes = self.chip().tile.pe.lanes();
-        let traces = cache.source_traces(source, spec, lanes)?;
-        Ok(simulate_traces_cancellable(self, &traces, label, cancel)?)
+        let traces = cache.source_traces(source, spec, self.chip().tile.pe.lanes())?;
+        let groups: Vec<(&str, &[OpTrace])> = traces
+            .iter()
+            .map(|(name, ops)| (name.as_str(), ops.as_slice()))
+            .collect();
+        Ok(ModelReport {
+            name: label.to_string(),
+            layers: self.simulate_batch(&groups, cancel)?,
+        })
     }
-
-    fn eval_model_cached_cancellable(
-        &self,
-        model: &ModelSpec,
-        spec: &EvalSpec,
-        cache: &TraceCache,
-        label: &str,
-        cancel: &CancelToken,
-    ) -> Result<ModelReport, Cancelled> {
-        let lanes = self.chip().tile.pe.lanes();
-        let traces = cache.layer_traces(model, spec, lanes);
-        simulate_traces_cancellable(self, &traces, label, cancel)
-    }
-}
-
-/// Evaluates one model on one chip.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Simulator::new(chip)` with `ModelEval::eval_model` instead"
-)]
-#[must_use]
-pub fn eval_model(chip: &ChipConfig, model: &ModelSpec, spec: &EvalSpec) -> ModelReport {
-    Simulator::new(*chip).eval_model(model, spec)
-}
-
-/// Evaluates one model on one chip with an explicit report label.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Simulator::new(chip)` with `ModelEval::eval_model_labeled` instead"
-)]
-#[must_use]
-pub fn eval_model_with_chip_label(
-    chip: &ChipConfig,
-    model: &ModelSpec,
-    spec: &EvalSpec,
-    label: &str,
-) -> ModelReport {
-    Simulator::new(*chip).eval_model_labeled(model, spec, label)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tensordash_models::paper_models;
+    use tensordash_sim::ChipConfig;
     use tensordash_trace::{SampleSpec, TrainingOp};
 
     #[test]
@@ -536,22 +390,19 @@ mod tests {
 
     /// The acceptance gate for the session API: the work-stealing
     /// `simulate_batch` path produces bit-identical `ModelReport`s to the
-    /// sequential per-layer loop the pre-session `eval_model` ran (and to
-    /// the deprecated shim, which now routes through the session).
+    /// sequential per-layer loop the pre-session `eval_model` ran.
     #[test]
-    #[allow(deprecated)]
     fn session_reports_are_bit_identical_to_the_sequential_path() {
         use tensordash_models::layer_traces;
         use tensordash_sim::LayerReport;
 
-        let chip = ChipConfig::paper();
         let spec = EvalSpec {
             sample: SampleSpec::new(8, 64),
             progress: 0.45,
             seed: 0xDA5A,
             ..EvalSpec::sweep()
         };
-        let sim = Simulator::new(chip);
+        let sim = Simulator::paper();
         for model in &paper_models()[..3] {
             // The old free-function pipeline, sans threading: trace every
             // layer, simulate each op pair in order, aggregate.
@@ -568,7 +419,6 @@ mod tests {
             };
             let new = sim.eval_model(model, &spec);
             assert_eq!(sequential, new, "{} diverged", model.name);
-            assert_eq!(eval_model(&chip, model, &spec), new, "shim diverged");
         }
     }
 
@@ -593,7 +443,15 @@ mod tests {
             assert_eq!(cached, uncached, "rows {rows} diverged under caching");
         }
         assert_eq!(cache.len(), 1, "one build serves every geometry");
-        assert_eq!(cache.stats(), (2, 1), "two hits after the first build");
+        assert_eq!(
+            cache.counters(),
+            TraceCacheStats {
+                hits: 2,
+                misses: 1,
+                evictions: 0
+            },
+            "two hits after the first build"
+        );
 
         // A different seed is a different key — no false sharing.
         let other = EvalSpec {
@@ -622,7 +480,7 @@ mod tests {
         let cache = TraceCache::with_capacity(3);
         assert_eq!(cache.capacity(), 3);
         for seed in 0..5 {
-            let _ = cache.layer_traces(model, &spec_for(seed), 16);
+            let _ = cache.source_traces(model, &spec_for(seed), 16).unwrap();
             assert!(
                 cache.len() <= 3,
                 "cache grew to {} past its capacity",
@@ -640,18 +498,18 @@ mod tests {
         );
         // Seeds 2..5 are resident. Touch 2 (making 3 the LRU), insert a
         // fresh key: 3 must be the one evicted.
-        let _ = cache.layer_traces(model, &spec_for(2), 16);
-        let _ = cache.layer_traces(model, &spec_for(5), 16);
-        let _ = cache.layer_traces(model, &spec_for(2), 16);
-        let _ = cache.layer_traces(model, &spec_for(4), 16);
+        let _ = cache.source_traces(model, &spec_for(2), 16).unwrap();
+        let _ = cache.source_traces(model, &spec_for(5), 16).unwrap();
+        let _ = cache.source_traces(model, &spec_for(2), 16).unwrap();
+        let _ = cache.source_traces(model, &spec_for(4), 16).unwrap();
         assert_eq!(cache.counters().hits, 3, "2, 2 again, and 4 were hits");
-        let _ = cache.layer_traces(model, &spec_for(3), 16);
+        let _ = cache.source_traces(model, &spec_for(3), 16).unwrap();
         assert_eq!(cache.counters().misses, 7, "3 was evicted as LRU");
 
         // An evicted build already handed out stays usable (Arc contract).
-        let held = cache.layer_traces(model, &spec_for(10), 16);
+        let held = cache.source_traces(model, &spec_for(10), 16).unwrap();
         for seed in 20..24 {
-            let _ = cache.layer_traces(model, &spec_for(seed), 16);
+            let _ = cache.source_traces(model, &spec_for(seed), 16).unwrap();
         }
         assert!(!held.is_empty(), "evicted-but-held traces stay alive");
     }
@@ -671,7 +529,7 @@ mod tests {
         let models = paper_models();
         for model in &models {
             for _geometry in 0..3 {
-                let _ = cache.layer_traces(model, &spec, 16);
+                let _ = cache.source_traces(model, &spec, 16).unwrap();
             }
         }
         let counters = cache.counters();

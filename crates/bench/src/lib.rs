@@ -21,8 +21,8 @@
 //! numbers and writes a CSV under `results/`; declarative experiments
 //! write a JSON report through the same output path.
 //!
-//! Two stand-alone analysis tools remain as separate binaries:
-//! `calibrate_tile` (tile-efficiency ablation) and `compression_study`
+//! Two analysis studies run the same way: `tensordash run calibrate_tile`
+//! (tile-efficiency ablation) and `tensordash run compression_study`
 //! (§3.6 scheduled-form memory compression).
 
 #![forbid(unsafe_code)]
@@ -40,10 +40,8 @@ pub mod train;
 
 pub use csvout::{results_path, write_csv};
 pub use experiment::{ExperimentError, ExperimentSpec, NamedExperiment};
-#[allow(deprecated)]
 pub use harness::{
-    eval_model, eval_model_with_chip_label, EvalSpec, ModelEval, ModelTraces, TraceCache,
-    TraceCacheStats, DEFAULT_CACHE_CAPACITY,
+    EvalSpec, ModelEval, ModelTraces, TraceCache, TraceCacheStats, DEFAULT_CACHE_CAPACITY,
 };
 pub use loadtest::{LoadtestOptions, LoadtestReport};
 pub use perf::{

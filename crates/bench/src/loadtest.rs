@@ -24,7 +24,7 @@
 //! must survive, every failure must be typed, and every surviving report
 //! must be byte-identical to a fault-free run.
 
-use crate::experiment::ExperimentSpec;
+use crate::experiment::{ExperimentSpec, SourceContext};
 use crate::harness::TraceCache;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::io::Write as _;
@@ -610,7 +610,7 @@ fn chaos_submit_poll(
 ) -> ChaosOutcome {
     // The fault-free reference, computed locally through the very same
     // execution path the server runs (`ExperimentSpec::run_in`).
-    let expected = match spec.run_cached(cache) {
+    let expected = match spec.run_in(cache, &SourceContext::local(), &mut |_, _| {}) {
         Ok(reports) => json::write(&spec.report_document(&reports)),
         Err(e) => return ChaosOutcome::Unexpected(format!("local reference run failed: {e}")),
     };

@@ -2,8 +2,7 @@
 //!
 //! Values stated in the paper's text are exact; per-model bar heights are
 //! approximate reads of the figures (the paper does not tabulate them) and
-//! are used only for shape comparison, never for calibration claims beyond
-//! what EXPERIMENTS.md documents.
+//! are used only for shape comparison, never for calibration claims.
 
 /// Fig 13 total-speedup anchors. The text states the 1.95x mean explicitly;
 /// per-model values are approximate figure reads.

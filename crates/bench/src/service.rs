@@ -168,16 +168,15 @@ impl ServiceState {
             None => CancelToken::unbounded(),
         };
         let reports = spec
-            .run_in_cancellable(
+            .run_in(
                 &self.cache,
-                &self.source_context(),
+                &self.source_context().with_cancel(cancel),
                 &mut |label, elapsed| {
                     let mut walls = self.model_walls.lock().expect("model walls poisoned");
                     let entry = walls.entry(label.to_string()).or_insert((0, 0.0));
                     entry.0 += 1;
                     entry.1 += elapsed;
                 },
-                &cancel,
             )
             .map_err(|e| match e {
                 ExperimentError::DeadlineExceeded => JobFailure::TimedOut(format!(

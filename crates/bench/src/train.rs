@@ -152,10 +152,10 @@ fn capture_training_with(
 }
 
 /// Builds the speedup-vs-epoch report document from a recording: every
-/// epoch's traces are simulated on `sim` through the standard
-/// [`Simulator::simulate_model`] path (the exact code `run`/`--config`
-/// reports flow through), then joined with the recorded training
-/// metrics.
+/// epoch's traces are simulated on `sim` through
+/// [`Simulator::simulate_model`] (the unbounded wrapper of the
+/// `simulate_batch` path `run`/`--config` reports flow through), then
+/// joined with the recorded training metrics.
 #[must_use]
 pub fn train_report_document(recording: &TraceRecording, sim: &Simulator) -> Value {
     let epochs = recording

@@ -16,7 +16,7 @@ use tensordash_bench::harness::{ModelEval, TraceCache};
 use tensordash_bench::train::{capture_training, TrainOptions};
 use tensordash_models::{layer_traces, paper_models, CalibratedSource};
 use tensordash_serde::{json, Serialize};
-use tensordash_sim::{ChipConfig, EvalSpec, LayerReport, ModelReport, Simulator};
+use tensordash_sim::{CancelToken, ChipConfig, EvalSpec, LayerReport, ModelReport, Simulator};
 use tensordash_trace::{OpTrace, RecordedSource, TraceSource};
 
 fn temp_file(name: &str) -> PathBuf {
@@ -44,7 +44,7 @@ fn pre_refactor_report(sim: &Simulator, model_index: usize, spec: &EvalSpec) -> 
 }
 
 /// Acceptance gate: every calibrated consumer — `eval_model`, the cached
-/// path, and `simulate_source` over a `CalibratedSource` — must be
+/// path, and `eval_source` over a `CalibratedSource` — must be
 /// byte-identical to the pre-refactor pipeline.
 #[test]
 fn calibrated_source_reports_are_byte_identical_to_the_pre_refactor_path() {
@@ -68,7 +68,15 @@ fn calibrated_source_reports_are_byte_identical_to_the_pre_refactor_path() {
         assert_eq!(json::write(&cached.serialize()), reference_bytes);
 
         let source = CalibratedSource::new(model.clone());
-        let via_source = sim.simulate_source(&source, &spec).unwrap();
+        let via_source = sim
+            .eval_source(
+                &source,
+                &spec,
+                &TraceCache::new(),
+                source.label(),
+                &CancelToken::unbounded(),
+            )
+            .unwrap();
         assert_eq!(
             json::write(&via_source.serialize()),
             reference_bytes,
@@ -284,11 +292,12 @@ fn cache_keys_distinguish_sources_and_replays_hit() {
     // recorded build (lane count unchanged).
     let sim_small = Simulator::new(ChipConfig::builder().tiles(1).build().unwrap());
     let sim_large = Simulator::new(ChipConfig::builder().tiles(4).build().unwrap());
+    let unbounded = CancelToken::unbounded();
     let r1 = sim_small
-        .eval_source_cached(&recorded, &spec, &cache, recorded.label())
+        .eval_source(&recorded, &spec, &cache, recorded.label(), &unbounded)
         .unwrap();
     let r2 = sim_large
-        .eval_source_cached(&recorded, &spec, &cache, recorded.label())
+        .eval_source(&recorded, &spec, &cache, recorded.label(), &unbounded)
         .unwrap();
     assert_eq!(cache.len(), 3, "geometry sweeps reuse the recorded build");
     assert_eq!(r1.name, r2.name);

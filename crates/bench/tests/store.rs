@@ -11,17 +11,19 @@
 //!   yield byte-identical reports;
 //! * served `recorded` paths are jailed to `--trace-dir` — traversal
 //!   out of it is a `400`, and a service without a store rejects both
-//!   recorded and stored sources.
+//!   recorded and stored sources;
+//! * the cancel token in `SourceContext` stops every source arm of
+//!   `run_in` without poisoning the shared `TraceCache`.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use tensordash_bench::experiment::{ExperimentSpec, SourceContext};
+use tensordash_bench::experiment::{ExperimentError, ExperimentSpec, SourceContext};
 use tensordash_bench::harness::TraceCache;
 use tensordash_bench::service::{Service, ServiceConfig};
 use tensordash_serde::json;
 use tensordash_serde::Serialize;
 use tensordash_server::http::{client_request, client_request_bytes};
-use tensordash_sim::EvalSpec;
+use tensordash_sim::{CancelToken, EvalSpec};
 use tensordash_store::TraceStore;
 use tensordash_trace::{
     ConvDims, EpochRecord, RecordingMeta, SampleSpec, SparsityGen, TraceRecording, TrainMetrics,
@@ -202,6 +204,78 @@ fn stored_replay_is_byte_identical_to_json_replay_through_config_and_serve() {
 /// thread, mixed v1/v2 encodings) collapse onto one store object and —
 /// together with a `recorded` replay of the JSON twin — one TraceCache
 /// entry; every report comes back byte-identical.
+/// The one `run_in` path honours `SourceContext::cancel` on all three
+/// source arms: a pre-fired token aborts a calibrated, a recorded and a
+/// stored spec with `DeadlineExceeded`. The same specs then run on the
+/// same cache under an unbounded context to the bytes `run()` produces,
+/// without building again — a cancelled run leaves complete builds only.
+#[test]
+fn pre_fired_tokens_stop_every_source_arm_without_poisoning_the_cache() {
+    let dir = TestDir::new("cancel");
+    let recording = tiny_recording(11);
+    let json_path = dir.0.join("cancel.trace.json");
+    std::fs::write(&json_path, recording.to_json()).unwrap();
+    let store = TraceStore::open(dir.0.join("store")).unwrap();
+    let digest = store
+        .insert_bytes(&recording.to_bytes(), None)
+        .unwrap()
+        .digest;
+
+    let calibrated = ExperimentSpec::new("cancel")
+        .with_models(["AlexNet"])
+        .with_eval(EvalSpec::builder().streams(4, 32).build().unwrap());
+    let recorded = ExperimentSpec::new("cancel").with_eval(
+        EvalSpec::builder()
+            .recorded(json_path.to_string_lossy())
+            .build()
+            .unwrap(),
+    );
+    let stored = ExperimentSpec::new("cancel").with_eval(
+        EvalSpec::builder()
+            .stored(format!("{digest:016x}").as_str())
+            .build()
+            .unwrap(),
+    );
+
+    let cache = TraceCache::new();
+    let fired = CancelToken::unbounded();
+    fired.cancel();
+    let cancelled = SourceContext::local().with_store(&store).with_cancel(fired);
+    for spec in [&calibrated, &recorded, &stored] {
+        assert_eq!(
+            spec.run_in(&cache, &cancelled, &mut |_, _| {}),
+            Err(ExperimentError::DeadlineExceeded),
+            "{:?} ran past a fired token",
+            spec.eval.source
+        );
+    }
+    // The recorded and stored arms share one content identity.
+    assert_eq!(cache.counters().misses, 2);
+
+    // `run()` has no store, so the stored arm's reference is the JSON
+    // replay of the same recording.
+    let unbounded = SourceContext::local().with_store(&store);
+    for (spec, reference) in [
+        (&calibrated, &calibrated),
+        (&recorded, &recorded),
+        (&stored, &recorded),
+    ] {
+        let reports = spec.run_in(&cache, &unbounded, &mut |_, _| {}).unwrap();
+        let expected = reference.run().unwrap();
+        assert_eq!(
+            json::write(&reports.serialize()),
+            json::write(&expected.serialize()),
+            "{:?} diverged after a cancelled run",
+            spec.eval.source
+        );
+    }
+    assert_eq!(
+        cache.counters().misses,
+        2,
+        "the cancelled builds are reused"
+    );
+}
+
 #[test]
 fn concurrent_uploads_dedupe_to_one_object_and_one_cache_entry() {
     let dir = TestDir::new("dedup");

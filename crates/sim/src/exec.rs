@@ -62,56 +62,6 @@ tensordash_serde::impl_serde_struct!(OpSim {
     sampled_speedup
 });
 
-/// Simulates one operation on both machines at once, sharing the (dominant)
-/// bit-exact tile simulation between them.
-///
-/// # Panics
-///
-/// Panics if the trace's lane count differs from the chip's PE width, or if
-/// the trace has no sampled windows.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Simulator::new(chip).simulate_pair(&trace)` instead"
-)]
-#[must_use]
-pub fn simulate_pair(chip: &ChipConfig, trace: &OpTrace) -> (OpSim, OpSim) {
-    simulate_pair_impl(chip, &Tile::new(chip.tile), trace)
-}
-
-/// Simulates one operation end to end.
-///
-/// # Panics
-///
-/// Panics if the trace's lane count differs from the chip's PE width, or if
-/// the trace has no sampled windows.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Simulator::new(chip).simulate(&trace, mode)` instead"
-)]
-#[must_use]
-pub fn simulate_op(chip: &ChipConfig, trace: &OpTrace, mode: ExecMode) -> OpSim {
-    simulate_op_impl(chip, &Tile::new(chip.tile), trace, mode)
-}
-
-pub(crate) fn simulate_pair_impl(
-    chip: &ChipConfig,
-    tile: &Tile,
-    trace: &OpTrace,
-) -> (OpSim, OpSim) {
-    let sampled = run_sampled(chip, tile, trace);
-    finish_pair(chip, tile, trace, &sampled)
-}
-
-pub(crate) fn simulate_op_impl(
-    chip: &ChipConfig,
-    tile: &Tile,
-    trace: &OpTrace,
-    mode: ExecMode,
-) -> OpSim {
-    let sampled = run_sampled(chip, tile, trace);
-    finish(chip, tile, trace, mode, &sampled)
-}
-
 /// Scales a fully-merged [`Sampled`] to both machines' full-operation
 /// results — the per-op epilogue the batch path runs once after its
 /// chunk partials are reduced.
@@ -218,7 +168,8 @@ impl<'a> SampledPlan<'a> {
     }
 }
 
-fn run_sampled(chip: &ChipConfig, tile: &Tile, trace: &OpTrace) -> Sampled {
+/// Runs every chunk of the operation's sampled region in order.
+pub(crate) fn run_sampled(chip: &ChipConfig, tile: &Tile, trace: &OpTrace) -> Sampled {
     let plan = SampledPlan::new(chip, trace);
     let mut sampled = Sampled::default();
     for chunk in 0..plan.chunks() {
@@ -227,7 +178,9 @@ fn run_sampled(chip: &ChipConfig, tile: &Tile, trace: &OpTrace) -> Sampled {
     sampled
 }
 
-fn finish(
+/// Scales a fully-merged [`Sampled`] to one machine's full-operation
+/// result.
+pub(crate) fn finish(
     chip: &ChipConfig,
     tile: &Tile,
     trace: &OpTrace,
@@ -341,9 +294,8 @@ mod tests {
     use crate::session::Simulator;
     use tensordash_trace::{ConvDims, SampleSpec, SparsityGen, UniformSparsity};
 
-    /// The session API drives all exec tests (the deprecated free function
-    /// of the same name is covered by `session::tests`).
-    fn simulate_op(chip: &ChipConfig, trace: &OpTrace, mode: ExecMode) -> OpSim {
+    /// Every exec test drives the session API.
+    fn simulate(chip: &ChipConfig, trace: &OpTrace, mode: ExecMode) -> OpSim {
         Simulator::new(*chip).simulate(trace, mode)
     }
 
@@ -362,8 +314,8 @@ mod tests {
     fn dense_trace_gives_no_speedup() {
         let chip = ChipConfig::paper();
         let t = trace(0.0);
-        let td = simulate_op(&chip, &t, ExecMode::TensorDash);
-        let base = simulate_op(&chip, &t, ExecMode::Baseline);
+        let td = simulate(&chip, &t, ExecMode::TensorDash);
+        let base = simulate(&chip, &t, ExecMode::Baseline);
         assert_eq!(td.compute_cycles, base.compute_cycles);
         assert!((td.sampled_speedup - 1.0).abs() < 1e-12);
     }
@@ -372,8 +324,8 @@ mod tests {
     fn half_sparse_trace_speeds_up_but_below_two() {
         let chip = ChipConfig::paper();
         let t = trace(0.5);
-        let td = simulate_op(&chip, &t, ExecMode::TensorDash);
-        let base = simulate_op(&chip, &t, ExecMode::Baseline);
+        let td = simulate(&chip, &t, ExecMode::TensorDash);
+        let base = simulate(&chip, &t, ExecMode::Baseline);
         let speedup = base.compute_cycles as f64 / td.compute_cycles as f64;
         assert!(speedup > 1.2, "speedup {speedup}");
         assert!(speedup < 2.0, "speedup {speedup} exceeds the work bound");
@@ -383,8 +335,8 @@ mod tests {
     fn ninety_percent_sparse_approaches_depth_limit() {
         let chip = ChipConfig::paper();
         let t = trace(0.9);
-        let td = simulate_op(&chip, &t, ExecMode::TensorDash);
-        let base = simulate_op(&chip, &t, ExecMode::Baseline);
+        let td = simulate(&chip, &t, ExecMode::TensorDash);
+        let base = simulate(&chip, &t, ExecMode::Baseline);
         let speedup = base.compute_cycles as f64 / td.compute_cycles as f64;
         assert!(speedup > 2.4, "speedup {speedup}");
         assert!(
@@ -397,11 +349,11 @@ mod tests {
     fn baseline_issues_every_mac_slot() {
         let chip = ChipConfig::paper();
         let t = trace(0.5);
-        let base = simulate_op(&chip, &t, ExecMode::Baseline);
+        let base = simulate(&chip, &t, ExecMode::Baseline);
         let expected = t.dense_rows_total() * 16 * t.dims.dense_side_outputs(t.op);
         assert_eq!(base.counters.macs_issued, expected);
         // TensorDash issues roughly half at 50% sparsity.
-        let td = simulate_op(&chip, &t, ExecMode::TensorDash);
+        let td = simulate(&chip, &t, ExecMode::TensorDash);
         let ratio = td.counters.macs_issued as f64 / expected as f64;
         assert!((ratio - 0.5).abs() < 0.05, "ratio {ratio}");
     }
@@ -410,8 +362,8 @@ mod tests {
     fn dram_traffic_is_mode_independent() {
         let chip = ChipConfig::paper();
         let t = trace(0.7);
-        let td = simulate_op(&chip, &t, ExecMode::TensorDash);
-        let base = simulate_op(&chip, &t, ExecMode::Baseline);
+        let td = simulate(&chip, &t, ExecMode::TensorDash);
+        let base = simulate(&chip, &t, ExecMode::Baseline);
         assert_eq!(td.counters.dram_read_bits, base.counters.dram_read_bits);
         assert_eq!(td.counters.dram_write_bits, base.counters.dram_write_bits);
     }
@@ -421,13 +373,13 @@ mod tests {
         let chip = ChipConfig::paper();
         let t = trace(0.5);
         assert_eq!(
-            simulate_op(&chip, &t, ExecMode::Baseline)
+            simulate(&chip, &t, ExecMode::Baseline)
                 .counters
                 .scheduler_steps,
             0
         );
         assert!(
-            simulate_op(&chip, &t, ExecMode::TensorDash)
+            simulate(&chip, &t, ExecMode::TensorDash)
                 .counters
                 .scheduler_steps
                 > 0
@@ -442,8 +394,8 @@ mod tests {
             tiles: 4,
             ..ChipConfig::paper()
         };
-        let c16 = simulate_op(&chip16, &t, ExecMode::TensorDash).compute_cycles;
-        let c4 = simulate_op(&chip4, &t, ExecMode::TensorDash).compute_cycles;
+        let c16 = simulate(&chip16, &t, ExecMode::TensorDash).compute_cycles;
+        let c4 = simulate(&chip4, &t, ExecMode::TensorDash).compute_cycles;
         assert!((c4 as f64 / c16 as f64 - 4.0).abs() < 0.05);
     }
 
@@ -458,8 +410,8 @@ mod tests {
             &SampleSpec::default(),
             7,
         );
-        let td = simulate_op(&chip, &t, ExecMode::TensorDash);
-        let base = simulate_op(&chip, &t, ExecMode::Baseline);
+        let td = simulate(&chip, &t, ExecMode::TensorDash);
+        let base = simulate(&chip, &t, ExecMode::Baseline);
         assert!(td.compute_cycles < base.compute_cycles);
     }
 
@@ -467,7 +419,7 @@ mod tests {
     fn mac_slots_track_chip_width() {
         let chip = ChipConfig::paper();
         let t = trace(0.3);
-        let td = simulate_op(&chip, &t, ExecMode::TensorDash);
+        let td = simulate(&chip, &t, ExecMode::TensorDash);
         assert_eq!(td.counters.mac_slots, td.compute_cycles * 4096);
     }
 }

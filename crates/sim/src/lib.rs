@@ -58,8 +58,7 @@ pub use config::{ChipConfig, ChipConfigBuilder, ConfigError, DramConfig, SramCon
 pub use counters::SimCounters;
 pub use dram::{dram_traffic_bits, DramTraffic};
 pub use eval::{EvalSpec, EvalSpecBuilder, EvalSpecError, TraceSourceSpec};
-#[allow(deprecated)]
-pub use exec::{simulate_op, simulate_pair, ExecMode, OpSim};
+pub use exec::{ExecMode, OpSim};
 pub use report::{speedup_ratio, LayerReport, ModelReport, OpAggregate};
 pub use session::{CancelToken, Cancelled, Simulator};
 pub use tile::{GroupRun, Tile};

@@ -2,18 +2,18 @@
 //! configuration, with single-op, paired, and thread-pooled batch entry
 //! points.
 //!
-//! This is the public API experiments are written against; the free
-//! functions in [`exec`] remain as deprecated shims.
+//! [`Simulator::simulate_batch`] is the one batch path: it takes a
+//! [`CancelToken`], and [`Simulator::simulate_model`] is its unbounded
+//! wrapper.
 
 use crate::config::ChipConfig;
-use crate::eval::EvalSpec;
 use crate::exec::{self, ExecMode, OpSim};
 use crate::report::{LayerReport, ModelReport, OpAggregate};
 use crate::tile::Tile;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use tensordash_trace::{OpTrace, SourceError, TraceRequest, TraceSource};
+use tensordash_trace::OpTrace;
 
 /// A cooperative cancellation signal for long simulations: an explicit
 /// flag, an optional wall-clock deadline, or both. Workers consult it at
@@ -163,7 +163,8 @@ impl Simulator {
     /// or if the trace has no sampled windows.
     #[must_use]
     pub fn simulate(&self, trace: &OpTrace, mode: ExecMode) -> OpSim {
-        exec::simulate_op_impl(&self.chip, &self.tile, trace, mode)
+        let sampled = exec::run_sampled(&self.chip, &self.tile, trace);
+        exec::finish(&self.chip, &self.tile, trace, mode, &sampled)
     }
 
     /// Simulates one operation on both machines at once, sharing the
@@ -174,7 +175,8 @@ impl Simulator {
     /// As [`simulate`](Simulator::simulate).
     #[must_use]
     pub fn simulate_pair(&self, trace: &OpTrace) -> (OpSim, OpSim) {
-        exec::simulate_pair_impl(&self.chip, &self.tile, trace)
+        let sampled = exec::run_sampled(&self.chip, &self.tile, trace);
+        exec::finish_pair(&self.chip, &self.tile, trace, &sampled)
     }
 
     /// Simulates one operation on both machines and packages the result as
@@ -214,17 +216,7 @@ impl Simulator {
     /// whatever the thread count (see
     /// [`with_threads`](Simulator::with_threads)).
     ///
-    /// # Panics
-    ///
-    /// As [`simulate`](Simulator::simulate), or if a worker thread panics.
-    #[must_use]
-    pub fn simulate_batch(&self, groups: &[(&str, &[OpTrace])]) -> Vec<LayerReport> {
-        self.simulate_batch_cancellable(groups, &CancelToken::unbounded())
-            .unwrap_or_else(|_| unreachable!("an unbounded token never cancels"))
-    }
-
-    /// As [`simulate_batch`](Simulator::simulate_batch), consulting
-    /// `cancel` before each *(group, op, chunk)* work item is claimed. A fired
+    /// `cancel` is consulted before each work item is claimed. A fired
     /// token stops every worker at its next boundary and the whole batch
     /// returns [`Cancelled`]; a batch whose items all completed before
     /// the token fired still returns its (complete, bit-identical)
@@ -240,7 +232,7 @@ impl Simulator {
     /// # Panics
     ///
     /// As [`simulate`](Simulator::simulate), or if a worker thread panics.
-    pub fn simulate_batch_cancellable(
+    pub fn simulate_batch(
         &self,
         groups: &[(&str, &[OpTrace])],
         cancel: &CancelToken,
@@ -339,67 +331,16 @@ impl Simulator {
         Ok(layers)
     }
 
-    /// As [`simulate_batch`](Simulator::simulate_batch), wrapping the
-    /// layers into a named [`ModelReport`].
+    /// [`simulate_batch`](Simulator::simulate_batch) under an unbounded
+    /// token, wrapping the layers into a named [`ModelReport`].
     #[must_use]
     pub fn simulate_model(&self, name: &str, groups: &[(&str, &[OpTrace])]) -> ModelReport {
         ModelReport {
             name: name.to_string(),
-            layers: self.simulate_batch(groups),
+            layers: self
+                .simulate_batch(groups, &CancelToken::unbounded())
+                .unwrap_or_else(|_| unreachable!("an unbounded token never cancels")),
         }
-    }
-
-    /// As [`simulate_model`](Simulator::simulate_model) over the
-    /// cancellable batch path.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Cancelled`] when the token fired before every work item
-    /// completed.
-    pub fn simulate_model_cancellable(
-        &self,
-        name: &str,
-        groups: &[(&str, &[OpTrace])],
-        cancel: &CancelToken,
-    ) -> Result<ModelReport, Cancelled> {
-        Ok(ModelReport {
-            name: name.to_string(),
-            layers: self.simulate_batch_cancellable(groups, cancel)?,
-        })
-    }
-
-    /// Evaluates a whole workload from any [`TraceSource`] — calibrated
-    /// profile, recorded artifact, or an in-memory provider — under
-    /// `spec`'s methodology, through the same
-    /// [`simulate_batch`](Simulator::simulate_batch) path every report
-    /// flows through. The report is labelled with the source's
-    /// [`label`](TraceSource::label).
-    ///
-    /// `spec.source` is *declarative* routing data for the experiment
-    /// layer; this method simulates whichever `source` it is handed and
-    /// reads only the methodology fields (progress, sampling, seed).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the source's [`SourceError`] (lane-width mismatch
-    /// against a recording, an empty artifact, ...).
-    pub fn simulate_source(
-        &self,
-        source: &dyn TraceSource,
-        spec: &EvalSpec,
-    ) -> Result<ModelReport, SourceError> {
-        let request = TraceRequest {
-            progress: spec.progress,
-            lanes: self.chip.tile.pe.lanes(),
-            sample: spec.sample,
-            seed: spec.seed,
-        };
-        let layers = source.layer_ops(&request)?;
-        let groups: Vec<(&str, &[OpTrace])> = layers
-            .iter()
-            .map(|(name, ops)| (name.as_str(), ops.as_slice()))
-            .collect();
-        Ok(self.simulate_model(source.label(), &groups))
     }
 }
 
@@ -429,12 +370,18 @@ mod tests {
             .collect()
     }
 
+    /// The batch path under a token that never fires.
+    fn batch(sim: &Simulator, groups: &[(&str, &[OpTrace])]) -> Vec<LayerReport> {
+        sim.simulate_batch(groups, &CancelToken::unbounded())
+            .unwrap()
+    }
+
     #[test]
     fn batch_matches_sequential_bit_for_bit() {
         let sim = Simulator::paper();
         let ops = traces(0.55, 12);
         let groups: Vec<(&str, &[OpTrace])> = ops.chunks(3).map(|c| ("layer", c)).collect();
-        let parallel = sim.simulate_batch(&groups);
+        let parallel = batch(&sim, &groups);
         let sequential: Vec<LayerReport> = groups
             .iter()
             .map(|(label, ops)| LayerReport {
@@ -443,7 +390,7 @@ mod tests {
             })
             .collect();
         assert_eq!(parallel, sequential);
-        let single_thread = sim.clone().with_threads(1).simulate_batch(&groups);
+        let single_thread = batch(&sim.clone().with_threads(1), &groups);
         assert_eq!(parallel, single_thread);
     }
 
@@ -460,9 +407,9 @@ mod tests {
             ("c", &ops[4..5]),
             ("d", &ops[5..7]),
         ];
-        let reference = sim.clone().with_threads(1).simulate_batch(&groups);
+        let reference = batch(&sim.clone().with_threads(1), &groups);
         for threads in [2, 3, 8, 64] {
-            let got = sim.clone().with_threads(threads).simulate_batch(&groups);
+            let got = batch(&sim.clone().with_threads(threads), &groups);
             assert_eq!(got, reference, "{threads} workers diverged");
         }
         assert_eq!(reference[1].ops.len(), 0, "empty group keeps its slot");
@@ -496,7 +443,7 @@ mod tests {
             ops: vec![sim.aggregate(&ops[0])],
         }];
         for threads in [1, 2, 8] {
-            let got = sim.clone().with_threads(threads).simulate_batch(&groups);
+            let got = batch(&sim.clone().with_threads(threads), &groups);
             assert_eq!(got, sequential, "{threads} workers diverged");
         }
     }
@@ -511,31 +458,21 @@ mod tests {
             .zip(ops.chunks(1))
             .map(|(l, c)| (*l, c))
             .collect();
-        let layers = sim.simulate_batch(&groups);
+        let layers = batch(&sim, &groups);
         let got: Vec<&str> = layers.iter().map(|l| l.label.as_str()).collect();
         assert_eq!(got, labels);
     }
 
     #[test]
-    fn session_agrees_with_free_functions() {
-        let sim = Simulator::paper();
-        let trace = &traces(0.7, 1)[0];
-        #[allow(deprecated)]
-        let old = crate::exec::simulate_op(sim.chip(), trace, ExecMode::TensorDash);
-        assert_eq!(sim.simulate(trace, ExecMode::TensorDash), old);
-    }
-
-    #[test]
     fn empty_batch_is_empty_report() {
         let sim = Simulator::paper();
-        assert!(sim.simulate_batch(&[]).is_empty());
+        assert!(batch(&sim, &[]).is_empty());
         assert_eq!(sim.simulate_model("empty", &[]).layers.len(), 0);
     }
 
     /// The cancellation contract: an already-fired token stops the batch
     /// at the first boundary on every path (single- and multi-threaded),
-    /// an unbounded token is invisible, and an explicitly expired
-    /// deadline behaves like an explicit cancel.
+    /// and an explicitly expired deadline behaves like an explicit cancel.
     #[test]
     fn cancelled_batches_stop_at_work_item_boundaries() {
         let sim = Simulator::paper();
@@ -544,24 +481,16 @@ mod tests {
 
         let fired = CancelToken::unbounded();
         fired.cancel();
+        assert_eq!(sim.simulate_batch(&groups, &fired), Err(Cancelled));
         assert_eq!(
-            sim.simulate_batch_cancellable(&groups, &fired),
-            Err(Cancelled)
-        );
-        assert_eq!(
-            sim.clone()
-                .with_threads(1)
-                .simulate_batch_cancellable(&groups, &fired),
+            sim.clone().with_threads(1).simulate_batch(&groups, &fired),
             Err(Cancelled)
         );
 
         // An already-passed deadline fires without an explicit cancel.
         let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(expired.is_cancelled());
-        assert_eq!(
-            sim.simulate_model_cancellable("m", &groups, &expired),
-            Err(Cancelled)
-        );
+        assert_eq!(sim.simulate_batch(&groups, &expired), Err(Cancelled));
 
         // Clones share the flag.
         let shared = CancelToken::unbounded();
@@ -569,11 +498,6 @@ mod tests {
         assert!(!observer.is_cancelled());
         shared.cancel();
         assert!(observer.is_cancelled());
-
-        // An unbounded token changes nothing: bit-identical to the plain path.
-        let unbounded = CancelToken::unbounded();
-        let cancellable = sim.simulate_batch_cancellable(&groups, &unbounded).unwrap();
-        assert_eq!(cancellable, sim.simulate_batch(&groups));
     }
 
     /// The service contract: one `Simulator` session and its report types

@@ -130,7 +130,7 @@ proptest! {
             .map(|(l, o)| (l.as_str(), o.as_slice()))
             .collect();
         let sim = Simulator::paper().with_threads(threads);
-        let stolen = sim.simulate_batch(&groups);
+        let stolen = sim.simulate_model("batch", &groups).layers;
         let sequential: Vec<LayerReport> = groups
             .iter()
             .map(|(label, ops)| LayerReport {

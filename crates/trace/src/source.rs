@@ -10,7 +10,7 @@
 //!  Calibrated (models::zoo + synthetic generators)  ─┐
 //!  Live       (nn::Trainer epoch iterator)          ─┼─► TraceSource
 //!  Recorded   (versioned .trace.json artifact)      ─┘      │
-//!                                                    Simulator::simulate_source
+//!                                                    ModelEval::eval_source
 //! ```
 
 use crate::stream::{OpTrace, SampleSpec};
