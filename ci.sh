@@ -12,8 +12,9 @@ cargo fmt --all -- --check
 step "cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step "cargo build --workspace (release)"
-cargo build --workspace --release
+step "cargo build --workspace --locked (release)"
+# --locked: a stale Cargo.lock fails the build instead of being rewritten.
+cargo build --workspace --release --locked
 
 step "cargo doc --no-deps (warnings denied)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --quiet

@@ -19,8 +19,9 @@ pub fn run() {
         for &sparsity in &[0.3, 0.5, 0.65, 0.8, 0.9] {
             let gen = ClusteredSparsity::new(sparsity, clustering);
             let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(99);
-            let streams: Vec<Vec<u64>> = (0..32)
-                .map(|i| gen.window_masks(&mut rng, i, 2000, 16))
+            // 32 streams of 2000 masks, back to back in one arena.
+            let arena: Vec<u64> = (0..32)
+                .flat_map(|i| gen.window_masks(&mut rng, i, 2000, 16))
                 .collect();
             let mut line = format!("{sparsity:<10.2} {clustering:<10.2}      ");
             for &rows in &rows_list {
@@ -31,9 +32,8 @@ pub fn run() {
                 });
                 let mut cycles = 0u64;
                 let mut dense = 0u64;
-                for group in streams.chunks(rows) {
-                    let refs: Vec<&[u64]> = group.iter().map(Vec::as_slice).collect();
-                    let run = tile.run_group(&refs);
+                for group in arena.chunks(rows * 2000) {
+                    let run = tile.run_group_arena(group, group.len() / 2000, 2000);
                     cycles += run.cycles;
                     dense += run.dense_cycles;
                 }

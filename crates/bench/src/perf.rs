@@ -6,8 +6,11 @@
 //!
 //! * **kernel** — scheduler step throughput: the wide-word kernel
 //!   (`step_masks4`, four windows per call) vs the one-word tail path vs
-//!   the scalar reference search, plus whole row-group throughput vs
-//!   the per-step engine-dispatch loop;
+//!   the scalar reference search, plus whole row-group throughput
+//!   (`run_masks_arena`) vs the per-step engine-dispatch loop;
+//! * **schedulers** — the scheduler family side by side over one fixed
+//!   row-group arena: each member's modeled speedup, and the row-group
+//!   masks/s of every member except the arithmetic `dense` one;
 //! * **sharding** — the intra-run parallelism measurement: one
 //!   transformer-scale model (the ViT-L MLP pair of GEMMs) evaluated
 //!   over warm traces at 1 worker vs 8, reports asserted byte-equal;
@@ -87,7 +90,7 @@ pub struct KernelBench {
     pub steps_per_sec_single_word: f64,
     /// Single-window scheduling steps per second, scalar reference.
     pub steps_per_sec_reference: f64,
-    /// Row-group masks scheduled per second, `run_masks_batched`.
+    /// Row-group masks scheduled per second, `run_masks_arena`.
     pub group_masks_per_sec_batched: f64,
     /// Row-group masks scheduled per second, per-step engine dispatch.
     pub group_masks_per_sec_reference: f64,
@@ -124,8 +127,9 @@ pub struct SchedulerBench {
     /// Family member name (`tensordash`, `2to4`, `tstd`, `dense`).
     pub name: String,
     /// Row-group masks scheduled per second through the member's batched
-    /// kernel.
-    pub group_masks_per_sec: f64,
+    /// kernel; `None` for `dense`, whose run is arithmetic on the group's
+    /// shape, so a rate would only measure the timer.
+    pub group_masks_per_sec: Option<f64>,
     /// The member's modeled speedup over the dense baseline on the fixed
     /// workload (deterministic; doubles as a results sanity check).
     pub modeled_speedup: f64,
@@ -336,14 +340,12 @@ impl BenchSummary {
             self.schedulers
                 .iter()
                 .map(|s| {
-                    Value::Table(vec![
-                        ("name".into(), Value::Str(s.name.clone())),
-                        (
-                            "group_masks_per_sec".into(),
-                            Value::Float(s.group_masks_per_sec),
-                        ),
-                        ("modeled_speedup".into(), Value::Float(s.modeled_speedup)),
-                    ])
+                    let mut fields = vec![("name".into(), Value::Str(s.name.clone()))];
+                    if let Some(rate) = s.group_masks_per_sec {
+                        fields.push(("group_masks_per_sec".into(), Value::Float(rate)));
+                    }
+                    fields.push(("modeled_speedup".into(), Value::Float(s.modeled_speedup)));
+                    Value::Table(fields)
                 })
                 .collect(),
         );
@@ -568,10 +570,9 @@ fn sample_seconds(samples: usize, routine: &mut impl FnMut()) -> Vec<f64> {
 
 /// Best-sample rate with a minimum-wall floor: repeats `routine` enough
 /// times per timed sample that the measured wall clears ~10 ms, so cheap
-/// routines (the `dense` scheduler finishes a whole row-group workload
-/// in nanoseconds) report a real rate instead of dividing by timer
-/// jitter — the BENCH_9 `dense` entry read 2.26e12 masks/s off a
-/// near-zero wall. Returns `units_per_call * repeats / best_seconds`.
+/// routines (the structured members finish a smoke row-group in
+/// microseconds) report a real rate instead of dividing by timer jitter.
+/// Returns `units_per_call * repeats / best_seconds`.
 fn floored_rate(samples: usize, units_per_call: f64, mut routine: impl FnMut()) -> f64 {
     const MIN_WALL: f64 = 0.01;
     let mut repeats = 1usize;
@@ -691,17 +692,15 @@ pub fn bench_kernel(smoke: bool) -> KernelBench {
     }
     let window_count = windows_per_density * passes * densities.len();
 
-    // Whole row-groups: 4 streams (the paper tile's rows), mixed densities.
+    // Whole row-groups: 4 streams (the paper tile's rows), mixed densities,
+    // back to back in one arena as the tile simulator feeds them.
     let stream_rows = if smoke { 512 } else { 16_384 };
-    let streams: Vec<Vec<u64>> = [0.15, 0.35, 0.5, 0.75]
-        .iter()
-        .enumerate()
-        .map(|(i, &density)| random_masks(7 + i as u64, stream_rows, density))
-        .collect();
+    let streams = group_streams(stream_rows);
     let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-    let group_masks = (streams.len() * stream_rows) as f64;
+    let arena = streams.concat();
+    let group_masks = arena.len() as f64;
     let group_batched = best_seconds(samples, || {
-        std::hint::black_box(scheduler.run_masks_batched(&refs));
+        std::hint::black_box(scheduler.run_masks_arena(&arena, stream_rows));
     });
     let group_reference = best_seconds(samples, || {
         std::hint::black_box(scheduler.run_masks_batched_reference(&refs));
@@ -716,33 +715,41 @@ pub fn bench_kernel(smoke: bool) -> KernelBench {
     }
 }
 
+/// The fixed row-group workload of the kernel group leg and the
+/// scheduler-family section: 4 streams (the paper tile's rows) of
+/// `stream_rows` masks at mixed densities.
+fn group_streams(stream_rows: usize) -> Vec<Vec<u64>> {
+    [0.15, 0.35, 0.5, 0.75]
+        .iter()
+        .enumerate()
+        .map(|(i, &density)| random_masks(7 + i as u64, stream_rows, density))
+        .collect()
+}
+
 /// Measures every member of the scheduler family over one fixed
 /// row-group workload: the same 4 mixed-density streams the kernel
-/// group bench uses, run through each member's batched kernel. Each
-/// member's rate is measured with `floored_rate`'s minimum-wall
-/// discipline, so the cheap arithmetic members (`dense` most of all)
-/// report commensurable masks/s instead of timer jitter. The modeled
-/// speedups are deterministic (same seeds every run) and double as a
-/// results sanity check: `dense` must read exactly 1.0 and `tensordash`
-/// must beat the 2×-capped structured members at these densities.
+/// group bench uses, in one arena, run through each member's batched
+/// kernel. Each rate is measured with `floored_rate`'s minimum-wall
+/// discipline, so the cheap structured members report commensurable
+/// masks/s instead of timer jitter; `dense` is not timed at all (its run
+/// is arithmetic on the group's shape). The modeled speedups are
+/// deterministic (same seeds every run) and double as a results sanity
+/// check: `dense` must read exactly 1.0 and `tensordash` must beat the
+/// 2×-capped structured members at these densities.
 #[must_use]
 pub fn bench_schedulers(smoke: bool) -> Vec<SchedulerBench> {
     let samples = if smoke { 5 } else { 9 };
     let stream_rows = if smoke { 512 } else { 16_384 };
-    let streams: Vec<Vec<u64>> = [0.15, 0.35, 0.5, 0.75]
-        .iter()
-        .enumerate()
-        .map(|(i, &density)| random_masks(7 + i as u64, stream_rows, density))
-        .collect();
-    let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-    let masks = (streams.len() * stream_rows) as f64;
+    let arena = group_streams(stream_rows).concat();
     SchedulerKind::ALL
         .iter()
         .map(|&kind| {
             let scheduler = SparsityScheduler::new(kind, PeGeometry::paper());
-            let run = scheduler.run_masks_batched(&refs);
-            let rate = floored_rate(samples, masks, || {
-                std::hint::black_box(scheduler.run_masks_batched(&refs));
+            let run = scheduler.run_masks_arena(&arena, stream_rows);
+            let rate = (kind != SchedulerKind::Dense).then(|| {
+                floored_rate(samples, arena.len() as f64, || {
+                    std::hint::black_box(scheduler.run_masks_arena(&arena, stream_rows));
+                })
             });
             SchedulerBench {
                 name: kind.name().to_string(),
@@ -1357,16 +1364,22 @@ pub fn diff_against_baseline(summary: &BenchSummary, baseline: &Value) -> Vec<Ba
         .is_some_and(|smoke| smoke == summary.smoke);
     if same_variant {
         // Scheduler-family rates run over stream lengths that differ
-        // between variants (512 vs 16384 rows), and the cheap members
-        // (`dense` especially) are dominated by fixed per-call cost, so
-        // their masks/s only compare within a variant. Skipped for
-        // baselines predating the section (BENCH_8 and earlier).
+        // between variants (512 vs 16384 rows), and the cheap structured
+        // members are dominated by fixed per-call cost, so their masks/s
+        // only compare within a variant. A member this run did not time
+        // (`dense`) is skipped, as are baselines predating the section
+        // (BENCH_8 and earlier).
         if let Some(Value::Array(schedulers)) = baseline.get("schedulers") {
             for doc in schedulers {
                 let Some(Ok(name)) = doc.get("name").map(Value::as_str) else {
                     continue;
                 };
-                let Some(current) = summary.schedulers.iter().find(|s| s.name == name) else {
+                let Some(current) = summary
+                    .schedulers
+                    .iter()
+                    .find(|s| s.name == name)
+                    .and_then(|s| s.group_masks_per_sec)
+                else {
                     continue;
                 };
                 if let Some(Ok(rate)) = doc.get("group_masks_per_sec").map(Value::as_float) {
@@ -1374,7 +1387,7 @@ pub fn diff_against_baseline(summary: &BenchSummary, baseline: &Value) -> Vec<Ba
                         &mut entries,
                         &format!("schedulers.{name}.group_masks_per_sec"),
                         Some(rate),
-                        current.group_masks_per_sec,
+                        current,
                         BASELINE_TOLERANCE,
                     );
                 }
@@ -1458,11 +1471,18 @@ mod tests {
     use super::*;
 
     fn fixed_schedulers() -> Vec<SchedulerBench> {
-        vec![SchedulerBench {
-            name: "tensordash".into(),
-            group_masks_per_sec: 1.0e8,
-            modeled_speedup: 1.9,
-        }]
+        vec![
+            SchedulerBench {
+                name: "tensordash".into(),
+                group_masks_per_sec: Some(1.0e8),
+                modeled_speedup: 1.9,
+            },
+            SchedulerBench {
+                name: "dense".into(),
+                group_masks_per_sec: None,
+                modeled_speedup: 1.0,
+            },
+        ]
     }
 
     fn fixed_source() -> SourceBench {
@@ -1566,7 +1586,13 @@ mod tests {
             member("tensordash").modeled_speedup > member("2to4").modeled_speedup,
             "the promotion network must beat the 2x-capped member on this mix"
         );
-        assert!(schedulers.iter().all(|s| s.group_masks_per_sec > 0.0));
+        for s in &schedulers {
+            if s.name == "dense" {
+                assert_eq!(s.group_masks_per_sec, None, "the dense member is not timed");
+            } else {
+                assert!(s.group_masks_per_sec.is_some_and(|rate| rate > 0.0));
+            }
+        }
         let summary = BenchSummary {
             smoke: true,
             nproc: 2,
@@ -1701,7 +1727,8 @@ mod tests {
                 "trace": {"extract_masks_per_sec_bitmap": 2.0},
                 "schedulers": [
                 {"name": "tensordash", "group_masks_per_sec": 1.0e9},
-                {"name": "2to4", "group_masks_per_sec": 5.0e8}],
+                {"name": "2to4", "group_masks_per_sec": 5.0e8},
+                {"name": "dense", "group_masks_per_sec": 7.7e12}],
                 "models": [
                 {"name": "AlexNet", "cycles_per_second": 8.0e9}]}"#,
         )
@@ -1725,10 +1752,14 @@ mod tests {
             scheduler.regressed(),
             "1.0e8 vs baseline 1.0e9 must regress"
         );
-        // A member the summary did not measure is skipped, not compared.
+        // A member the summary did not measure, or measured without a
+        // rate (`dense`), is skipped, not compared.
         assert!(!diffs
             .iter()
             .any(|d| d.metric == "schedulers.2to4.group_masks_per_sec"));
+        assert!(!diffs
+            .iter()
+            .any(|d| d.metric == "schedulers.dense.group_masks_per_sec"));
     }
 
     /// The service traffic rate gates like the kernel rates: across

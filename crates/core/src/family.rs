@@ -15,7 +15,7 @@
 //! | `dense` | the no-skip baseline, priced as a real scheduler | 1× |
 //!
 //! Dispatch is a plain `enum` `match`, **not** `dyn`: the TensorDash arm
-//! calls straight into the monomorphized batched arena kernel, so putting
+//! calls straight into the batched arena kernel, so putting
 //! the existing scheduler behind this interface costs nothing on the hot
 //! path — `tensordash` reports are byte-identical to the pre-family code
 //! (enforced by the committed-bytes test in `crates/bench/tests`).
@@ -294,39 +294,8 @@ impl TwoToFourScheduler {
 
     /// Runs a lockstep row-group with the word-parallel kernel: one
     /// nibble-SWAR pairability test per stream per cycle, four streams per
-    /// word-group stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or stream lengths differ.
-    #[must_use]
-    pub fn run_masks_batched(&self, streams: &[&[u64]]) -> BatchRun {
-        let rows = check_group(streams);
-        let lane_mask = self.geometry.lane_mask();
-        let mut run = batch_shell(streams, rows, lane_mask);
-        let can_pair = self.can_pair();
-        let mut pos = 0usize;
-        while pos < rows {
-            let advance = if can_pair
-                && pos + 1 < rows
-                && Self::group_pairable(
-                    |s| (streams[s][pos] & lane_mask, streams[s][pos + 1] & lane_mask),
-                    streams.len(),
-                ) {
-                2
-            } else {
-                1
-            };
-            run.cycles += 1;
-            run.scheduler_steps += streams.len() as u64;
-            pos += advance;
-        }
-        run
-    }
-
-    /// As [`run_masks_batched`](Self::run_masks_batched), reading
-    /// `arena.len() / rows` streams of `rows` masks each out of a flat
-    /// arena (zero-copy, like
+    /// word-group stride. Reads `arena.len() / rows` streams of `rows`
+    /// masks each out of a flat arena (zero-copy, like
     /// [`Scheduler::run_masks_arena`]).
     ///
     /// # Panics
@@ -454,28 +423,8 @@ impl TstdScheduler {
 
     /// Runs a lockstep row-group with the word-parallel kernel: the
     /// per-stream decomposition overflow count runs four rows per
-    /// word-group stride (`overflow_rows`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or stream lengths differ.
-    #[must_use]
-    pub fn run_masks_batched(&self, streams: &[&[u64]]) -> BatchRun {
-        let rows = check_group(streams);
-        let lane_mask = self.geometry.lane_mask();
-        let mut run = batch_shell(streams, rows, lane_mask);
-        let cycles = streams
-            .iter()
-            .map(|s| self.stream_cycles(rows as u64, overflow_rows(s, lane_mask)))
-            .max()
-            .unwrap_or(0);
-        run.cycles = cycles;
-        run.scheduler_steps = cycles * streams.len() as u64;
-        run
-    }
-
-    /// As [`run_masks_batched`](Self::run_masks_batched), reading streams
-    /// out of a flat arena.
+    /// word-group stride (`overflow_rows`). Reads `arena.len() / rows`
+    /// streams of `rows` masks each out of a flat arena.
     ///
     /// # Panics
     ///
@@ -560,24 +509,8 @@ impl DenseScheduler {
         rows
     }
 
-    /// Runs a lockstep row-group: `rows` cycles, every slot a MAC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or stream lengths differ.
-    #[must_use]
-    pub fn run_masks_batched(&self, streams: &[&[u64]]) -> BatchRun {
-        let rows = check_group(streams) as u64;
-        BatchRun {
-            cycles: self.cycles_for_rows(rows),
-            dense_cycles: rows,
-            macs: streams.len() as u64 * rows * self.geometry.lanes() as u64,
-            scheduler_steps: 0,
-        }
-    }
-
-    /// As [`run_masks_batched`](Self::run_masks_batched), reading streams
-    /// out of a flat arena.
+    /// Runs a lockstep row-group of `arena.len() / rows` streams: `rows`
+    /// cycles, every slot a MAC.
     ///
     /// # Panics
     ///
@@ -654,21 +587,6 @@ impl SparsityScheduler {
         }
     }
 
-    /// Runs one lockstep row-group of equal-length mask streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or stream lengths differ.
-    #[must_use]
-    pub fn run_masks_batched(&self, streams: &[&[u64]]) -> BatchRun {
-        match self {
-            SparsityScheduler::TensorDash(s) => s.run_masks_batched(streams),
-            SparsityScheduler::TwoToFour(s) => s.run_masks_batched(streams),
-            SparsityScheduler::Tstd(s) => s.run_masks_batched(streams),
-            SparsityScheduler::Dense(s) => s.run_masks_batched(streams),
-        }
-    }
-
     /// Runs one lockstep row-group straight out of a flat mask arena of
     /// `arena.len() / rows` back-to-back streams.
     ///
@@ -685,9 +603,10 @@ impl SparsityScheduler {
         }
     }
 
-    /// The family member's scalar golden model (the batched kernel's
-    /// bit-identical reference; the dense machine has no word tricks, so
-    /// its reference *is* the kernel).
+    /// The family member's scalar golden model over a slice row-group (the
+    /// arena kernel's bit-identical reference). The dense machine has no
+    /// word tricks, so its arm prices the group directly: `rows` cycles,
+    /// every slot a MAC.
     ///
     /// # Panics
     ///
@@ -698,7 +617,15 @@ impl SparsityScheduler {
             SparsityScheduler::TensorDash(s) => s.run_masks_batched_reference(streams),
             SparsityScheduler::TwoToFour(s) => s.run_masks_batched_reference(streams),
             SparsityScheduler::Tstd(s) => s.run_masks_batched_reference(streams),
-            SparsityScheduler::Dense(s) => s.run_masks_batched(streams),
+            SparsityScheduler::Dense(s) => {
+                let rows = check_group(streams) as u64;
+                BatchRun {
+                    cycles: s.cycles_for_rows(rows),
+                    dense_cycles: rows,
+                    macs: streams.len() as u64 * rows * s.geometry().lanes() as u64,
+                    scheduler_steps: 0,
+                }
+            }
         }
     }
 }
@@ -897,9 +824,9 @@ mod tests {
         }
     }
 
-    /// The property gate: the 2:4 batched kernel (slice and arena entry
-    /// points) is bit-identical to its scalar reference across randomized
-    /// geometries, group shapes, and densities.
+    /// The property gate: the 2:4 batched arena kernel is bit-identical
+    /// to its scalar reference across randomized geometries, group shapes,
+    /// and densities.
     #[test]
     fn two_to_four_batched_matches_reference_across_geometries() {
         let mut seed = 0x2424;
@@ -911,16 +838,10 @@ mod tests {
                     let streams = random_streams(seed, count, 97, geometry.lanes(), density);
                     let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
                     let arena: Vec<u64> = streams.iter().flatten().copied().collect();
-                    let reference = scheduler.run_masks_batched_reference(&refs);
-                    assert_eq!(
-                        scheduler.run_masks_batched(&refs),
-                        reference,
-                        "{geometry} x{count} d{density}"
-                    );
                     assert_eq!(
                         scheduler.run_masks_arena(&arena, 97),
-                        reference,
-                        "arena {geometry} x{count} d{density}"
+                        scheduler.run_masks_batched_reference(&refs),
+                        "{geometry} x{count} d{density}"
                     );
                 }
             }
@@ -939,16 +860,10 @@ mod tests {
                     let streams = random_streams(seed, count, 97, geometry.lanes(), density);
                     let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
                     let arena: Vec<u64> = streams.iter().flatten().copied().collect();
-                    let reference = scheduler.run_masks_batched_reference(&refs);
-                    assert_eq!(
-                        scheduler.run_masks_batched(&refs),
-                        reference,
-                        "{geometry} x{count} d{density}"
-                    );
                     assert_eq!(
                         scheduler.run_masks_arena(&arena, 97),
-                        reference,
-                        "arena {geometry} x{count} d{density}"
+                        scheduler.run_masks_batched_reference(&refs),
+                        "{geometry} x{count} d{density}"
                     );
                 }
             }
@@ -961,11 +876,10 @@ mod tests {
     fn structured_schedulers_respect_dense_and_ceiling_bounds() {
         for geometry in geometries() {
             for density in [0.0, 0.4, 1.0] {
-                let streams = random_streams(7, 3, 80, geometry.lanes(), density);
-                let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
+                let arena: Vec<u64> = random_streams(7, 3, 80, geometry.lanes(), density).concat();
                 for run in [
-                    TwoToFourScheduler::new(geometry).run_masks_batched(&refs),
-                    TstdScheduler::new(geometry).run_masks_batched(&refs),
+                    TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 80),
+                    TstdScheduler::new(geometry).run_masks_arena(&arena, 80),
                 ] {
                     assert!(run.cycles <= run.dense_cycles, "{geometry} d{density}");
                     assert!(
@@ -985,11 +899,10 @@ mod tests {
     #[test]
     fn compliant_data_hits_exactly_two_x() {
         let geometry = PeGeometry::paper();
-        let streams = compliant_streams(11, 4, 100, geometry.lanes());
-        let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-        let two_to_four = TwoToFourScheduler::new(geometry).run_masks_batched(&refs);
+        let arena = compliant_streams(11, 4, 100, geometry.lanes()).concat();
+        let two_to_four = TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 100);
         assert_eq!(two_to_four.cycles, 50);
-        let tstd = TstdScheduler::new(geometry).run_masks_batched(&refs);
+        let tstd = TstdScheduler::new(geometry).run_masks_arena(&arena, 100);
         assert_eq!(tstd.cycles, 50);
     }
 
@@ -998,14 +911,15 @@ mod tests {
     #[test]
     fn one_dense_stream_throttles_the_two_to_four_group() {
         let geometry = PeGeometry::paper();
-        let dense = vec![0xFFFFu64; 60];
-        let empty = vec![0u64; 60];
-        let refs: Vec<&[u64]> = vec![&dense, &empty, &empty];
-        let run = TwoToFourScheduler::new(geometry).run_masks_batched(&refs);
+        let mut arena = vec![0xFFFFu64; 60];
+        arena.extend([0u64; 2 * 60]);
+        let run = TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 60);
         assert_eq!(run.cycles, 60);
     }
 
-    /// The dense scheduler prices every slot and makes no decisions.
+    /// The dense scheduler prices every slot and makes no decisions; the
+    /// family reference prices a slice group the same way, and a group of
+    /// zero-length streams as a zero run.
     #[test]
     fn dense_scheduler_prices_every_slot() {
         let geometry = PeGeometry::paper();
@@ -1013,13 +927,19 @@ mod tests {
         let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
         let arena: Vec<u64> = streams.iter().flatten().copied().collect();
         let scheduler = DenseScheduler::new(geometry);
-        let run = scheduler.run_masks_batched(&refs);
+        let run = scheduler.run_masks_arena(&arena, 50);
         assert_eq!(run.cycles, 50);
         assert_eq!(run.dense_cycles, 50);
         assert_eq!(run.macs, 4 * 50 * 16);
         assert_eq!(run.scheduler_steps, 0);
-        assert_eq!(scheduler.run_masks_arena(&arena, 50), run);
         assert_eq!(scheduler.cycles_for_rows(123), 123);
+        let family = SparsityScheduler::new(SchedulerKind::Dense, geometry);
+        assert_eq!(family.run_masks_batched_reference(&refs), run);
+        let empty: &[u64] = &[];
+        assert_eq!(
+            family.run_masks_batched_reference(&[empty, empty]),
+            BatchRun::default()
+        );
     }
 
     /// The family interface's TensorDash arm is the unmodified paper
@@ -1033,10 +953,6 @@ mod tests {
             let streams = random_streams(21, 4, 150, geometry.lanes(), density);
             let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
             let arena: Vec<u64> = streams.iter().flatten().copied().collect();
-            assert_eq!(
-                family.run_masks_batched(&refs),
-                raw.run_masks_batched(&refs)
-            );
             assert_eq!(
                 family.run_masks_arena(&arena, 150),
                 raw.run_masks_arena(&arena, 150)
@@ -1053,15 +969,14 @@ mod tests {
     #[test]
     fn family_members_order_as_expected_on_mid_sparsity() {
         let geometry = PeGeometry::paper();
-        let streams = random_streams(9, 4, 200, geometry.lanes(), 0.35);
-        let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
+        let arena = random_streams(9, 4, 200, geometry.lanes(), 0.35).concat();
         let cycles: Vec<u64> = SchedulerKind::ALL
             .iter()
             .map(|&kind| {
                 let scheduler = SparsityScheduler::new(kind, geometry);
                 assert_eq!(scheduler.kind(), kind);
                 assert_eq!(scheduler.geometry(), geometry);
-                scheduler.run_masks_batched(&refs).cycles
+                scheduler.run_masks_arena(&arena, 200).cycles
             })
             .collect();
         let (tensordash, two_to_four, tstd, dense) = (cycles[0], cycles[1], cycles[2], cycles[3]);
@@ -1077,17 +992,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one stream")]
+    #[should_panic(expected = "whole")]
     fn empty_two_to_four_group_is_rejected() {
-        let _ = TwoToFourScheduler::new(PeGeometry::paper()).run_masks_batched(&[]);
+        let _ = TwoToFourScheduler::new(PeGeometry::paper()).run_masks_arena(&[], 4);
     }
 
     #[test]
-    #[should_panic(expected = "equal length")]
+    #[should_panic(expected = "whole")]
     fn ragged_tstd_group_is_rejected() {
-        let a = vec![0u64; 4];
-        let b = vec![0u64; 5];
-        let _ = TstdScheduler::new(PeGeometry::paper()).run_masks_batched(&[&a, &b]);
+        // Nine masks cannot be whole 4-row streams.
+        let _ = TstdScheduler::new(PeGeometry::paper()).run_masks_arena(&[0u64; 9], 4);
     }
 
     #[test]

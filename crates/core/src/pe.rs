@@ -13,7 +13,7 @@
 //! selection kernel with the mask-only paths. The cycle-level behaviour
 //! feeding the performance results lives in `tensordash-sim`, which uses
 //! the much faster mask-only paths ([`Scheduler::run_masks`] and
-//! [`Scheduler::run_masks_batched`]).
+//! [`Scheduler::run_masks_arena`]).
 
 use crate::element::Element;
 use crate::geometry::{PeGeometry, MAX_DEPTH};

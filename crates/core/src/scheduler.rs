@@ -27,7 +27,7 @@
 //! implemented as a **batched bitmask kernel**: the lane-uniform option
 //! shape lets one ring rotation decide a whole conflict-free level per
 //! priority, dense rows are consumed in a single word operation, and
-//! [`Scheduler::run_masks_batched`] additionally packs `64 / lanes` staging
+//! [`Scheduler::run_masks_arena`] additionally packs `64 / lanes` staging
 //! windows of a lockstep tile row-group into every `u64`. Since PR 10 the
 //! kernel is also **wide-word**: packed words are consumed in unrolled
 //! `[u64; 4]` word-group strides ([`Scheduler::step_masks4`] is the public
@@ -134,65 +134,6 @@ pub struct BatchRun {
     pub scheduler_steps: u64,
 }
 
-/// How the batched kernel reads a row-group's streams: a vector of slices
-/// or a flat arena of back-to-back equal-length streams. Monomorphized
-/// into the kernel, so both entries compile to direct indexing.
-trait BatchStreams {
-    /// Number of streams in the group.
-    fn count(&self) -> usize;
-    /// Rows per stream (equal across the group).
-    fn len(&self) -> usize;
-    /// Stream `j`'s rows `start..end`.
-    fn rows(&self, j: usize, start: usize, end: usize) -> &[u64];
-    /// Stream `j`'s single row `i` (the common steady-state refill is one
-    /// row per cycle — this skips the slice machinery).
-    fn row(&self, j: usize, i: usize) -> u64;
-}
-
-struct SliceStreams<'a> {
-    streams: &'a [&'a [u64]],
-    len: usize,
-}
-
-impl BatchStreams for SliceStreams<'_> {
-    fn count(&self) -> usize {
-        self.streams.len()
-    }
-    fn len(&self) -> usize {
-        self.len
-    }
-    #[inline]
-    fn rows(&self, j: usize, start: usize, end: usize) -> &[u64] {
-        &self.streams[j][start..end]
-    }
-    #[inline]
-    fn row(&self, j: usize, i: usize) -> u64 {
-        self.streams[j][i]
-    }
-}
-
-struct ArenaStreams<'a> {
-    arena: &'a [u64],
-    rows: usize,
-}
-
-impl BatchStreams for ArenaStreams<'_> {
-    fn count(&self) -> usize {
-        self.arena.len() / self.rows
-    }
-    fn len(&self) -> usize {
-        self.rows
-    }
-    #[inline]
-    fn rows(&self, j: usize, start: usize, end: usize) -> &[u64] {
-        &self.arena[j * self.rows + start..j * self.rows + end]
-    }
-    #[inline]
-    fn row(&self, j: usize, i: usize) -> u64 {
-        self.arena[j * self.rows + i]
-    }
-}
-
 /// The batched bitmask scheduler. This is the hot structure of the whole
 /// repository — the tile simulator runs it over millions of staging windows.
 ///
@@ -205,7 +146,7 @@ impl BatchStreams for ArenaStreams<'_> {
 /// retained as [`Scheduler::step_masks_reference`], the golden model the
 /// equivalence tests and benchmarks compare against. Single streams run
 /// through [`Scheduler::run_masks`]; whole lockstep tile row-groups run
-/// through [`Scheduler::run_masks_batched`], which additionally packs
+/// through [`Scheduler::run_masks_arena`], which additionally packs
 /// `64 / lanes` windows into each word.
 ///
 /// # Examples
@@ -214,10 +155,11 @@ impl BatchStreams for ArenaStreams<'_> {
 /// use tensordash_core::{PeGeometry, Scheduler};
 ///
 /// let scheduler = Scheduler::paper(PeGeometry::paper());
-/// // Two 16-lane streams processed in lockstep (a 2-row tile group).
-/// let a = vec![0x00FF_u64; 30];
-/// let b = vec![0x0F0F_u64; 30];
-/// let run = scheduler.run_masks_batched(&[&a, &b]);
+/// // Two 16-lane streams of 30 rows each, back to back in one arena,
+/// // processed in lockstep (a 2-row tile group).
+/// let mut arena = vec![0x00FF_u64; 30];
+/// arena.extend([0x0F0F_u64; 30]);
+/// let run = scheduler.run_masks_arena(&arena, 30);
 /// assert_eq!(run.dense_cycles, 30);
 /// assert!(run.cycles < 30); // both streams are half sparse
 /// assert_eq!(run.macs, 2 * 30 * 8); // every effectual pair, once
@@ -659,6 +601,12 @@ impl Scheduler {
     /// Runs a whole tile row-group of mask streams in lockstep through the
     /// batched kernel, without per-step engine dispatch.
     ///
+    /// The group's streams sit back to back in one flat mask **arena**:
+    /// `arena` holds `arena.len() / rows` equal-length streams of `rows`
+    /// masks each (a contiguous span group of a trace), so no per-group
+    /// slice vector is materialized and the kernel's refills walk one
+    /// allocation.
+    ///
     /// One stream per PE row; all rows share the dense-side staging window,
     /// so the group advances by the **minimum** drain across streams each
     /// cycle (§3.3) — a single dense stream throttles the whole group. All
@@ -672,32 +620,9 @@ impl Scheduler {
     /// entry resolves up to sixteen PE rows with one unrolled pass of
     /// masked subword rotations (the paper's 16-row tile is exactly one
     /// word group). Results are bit-identical to driving one [`RowEngine`]
-    /// per stream and min-reducing the outcomes — windows never interact
-    /// except through the shared drain.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `streams` is empty or the stream lengths differ.
-    #[must_use]
-    pub fn run_masks_batched(&self, streams: &[&[u64]]) -> BatchRun {
-        assert!(!streams.is_empty(), "a row-group needs at least one stream");
-        let len = streams[0].len();
-        assert!(
-            streams.iter().all(|s| s.len() == len),
-            "all streams in a row-group must have equal length"
-        );
-        self.run_batched_impl(SliceStreams { streams, len })
-    }
-
-    /// As [`Scheduler::run_masks_batched`], reading the group's streams
-    /// straight out of a flat mask **arena**: `arena` holds
-    /// `arena.len() / rows` equal-length streams back to back, `rows` masks
-    /// each. This is the entry the tile simulator feeds whole trace span
-    /// groups through — no per-group slice vector is materialized, and the
-    /// kernel's refills walk one contiguous allocation.
-    ///
-    /// Bit-identical to calling [`Scheduler::run_masks_batched`] on the
-    /// equivalent slices.
+    /// per stream and min-reducing the outcomes
+    /// ([`Scheduler::run_masks_batched_reference`]) — windows never
+    /// interact except through the shared drain.
     ///
     /// # Panics
     ///
@@ -711,19 +636,11 @@ impl Scheduler {
             "arena of {} masks does not hold whole {rows}-row streams",
             arena.len()
         );
-        self.run_batched_impl(ArenaStreams { arena, rows })
-    }
-
-    fn run_batched_impl<S: BatchStreams>(&self, streams: S) -> BatchRun {
-        let len = streams.len();
-        let count = streams.count();
+        let count = arena.len() / rows;
         let mut run = BatchRun {
-            dense_cycles: len as u64,
+            dense_cycles: rows as u64,
             ..BatchRun::default()
         };
-        if len == 0 {
-            return run;
-        }
 
         let depth = self.geometry.depth();
         let lanes = self.geometry.lanes() as u32;
@@ -740,11 +657,15 @@ impl Scheduler {
             .collect();
 
         // Initial fill: `depth` rows (or the whole stream if shorter).
-        let mut pending = depth.min(len);
+        let mut pending = depth.min(rows);
         let mut cursor = pending;
         for j in 0..count {
             let shift = (j % slots) as u32 * lanes;
-            for (row, &bits) in words[j / slots].iter_mut().zip(streams.rows(j, 0, pending)) {
+            let start = j * rows;
+            for (row, &bits) in words[j / slots]
+                .iter_mut()
+                .zip(&arena[start..start + pending])
+            {
                 *row |= (bits & mask) << shift;
             }
         }
@@ -757,7 +678,7 @@ impl Scheduler {
 
             let advance = drainable.min(pending);
             pending -= advance;
-            let refill = (depth - pending).min(len - cursor);
+            let refill = (depth - pending).min(rows - cursor);
             for word in &mut words {
                 word.rotate_left(advance);
                 for row in &mut word[MAX_DEPTH - advance..] {
@@ -769,15 +690,16 @@ impl Scheduler {
                 // row per cycle.
                 for j in 0..count {
                     let shift = (j % slots) as u32 * lanes;
-                    words[j / slots][pending] |= (streams.row(j, cursor) & mask) << shift;
+                    words[j / slots][pending] |= (arena[j * rows + cursor] & mask) << shift;
                 }
             } else {
                 for j in 0..count {
                     let shift = (j % slots) as u32 * lanes;
                     let word = &mut words[j / slots];
+                    let start = j * rows + cursor;
                     for (row, &bits) in word[pending..pending + refill]
                         .iter_mut()
-                        .zip(streams.rows(j, cursor, cursor + refill))
+                        .zip(&arena[start..start + refill])
                     {
                         *row |= (bits & mask) << shift;
                     }
@@ -790,17 +712,17 @@ impl Scheduler {
     }
 
     /// The engine-per-stream reference implementation of
-    /// [`Scheduler::run_masks_batched`]: one [`RowEngine`] per stream
+    /// [`Scheduler::run_masks_arena`]: one [`RowEngine`] per stream
     /// driven by the scalar kernel
     /// ([`RowEngine::schedule_reference`]), min-drain synchronized — the
     /// exact pre-batching tile group loop. This is the golden model the
-    /// packed group path's equivalence tests, microbenchmarks, and
-    /// `tensordash bench` all share; keeping it in one place guarantees
-    /// they compare against identical semantics.
+    /// packed group path's equivalence tests and `tensordash bench` share;
+    /// keeping it in one place guarantees they compare against identical
+    /// semantics.
     ///
     /// # Panics
     ///
-    /// As [`Scheduler::run_masks_batched`].
+    /// Panics if `streams` is empty or the stream lengths differ.
     #[must_use]
     pub fn run_masks_batched_reference(&self, streams: &[&[u64]]) -> BatchRun {
         assert!(!streams.is_empty(), "a row-group needs at least one stream");
@@ -1204,29 +1126,6 @@ mod tests {
     }
 
     #[test]
-    fn arena_entry_matches_slice_entry_bit_for_bit() {
-        let s = paper_scheduler();
-        let mut state = 0x1234_5678_u64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 24
-        };
-        for count in [1usize, 3, 4, 7, 16, 17, 21, 33] {
-            for rows in [1usize, 17, 160] {
-                let arena: Vec<u64> = (0..count * rows).map(|_| next() & 0xFFFF).collect();
-                let slices: Vec<&[u64]> = arena.chunks(rows).collect();
-                assert_eq!(
-                    s.run_masks_arena(&arena, rows),
-                    s.run_masks_batched(&slices),
-                    "count {count} rows {rows}"
-                );
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "whole")]
     fn arena_entry_rejects_ragged_arenas() {
         let s = paper_scheduler();
@@ -1418,33 +1317,65 @@ mod tests {
 
     #[test]
     fn batched_group_run_matches_reference_engines() {
+        // The group path (`run_masks_arena` -> `step_packed`) against the
+        // engine-per-stream golden model at every geometry the repository
+        // models. Stream counts hit one stream, a partial packed word, one
+        // full word, exactly one `[u64; 4]` word group, and a group plus a
+        // one-word tail; lengths hit a single row, a few window fills and
+        // a long run.
         use rand::{rngs::StdRng, Rng, SeedableRng};
-        let s = paper_scheduler();
+        let spec = ConnectivitySpec::custom(vec![(2, 5), (1, 2), (1, -1), (2, -7)]).unwrap();
+        let mut schedulers: Vec<Scheduler> = [
+            PeGeometry::paper(),
+            PeGeometry::paper_shallow(),
+            PeGeometry::walkthrough(),
+            PeGeometry::new(3, 2).unwrap(),
+            PeGeometry::new(7, 3).unwrap(),
+            PeGeometry::new(31, 4).unwrap(),
+            PeGeometry::new(64, 4).unwrap(),
+            PeGeometry::new(16, 1).unwrap(),
+        ]
+        .into_iter()
+        .map(Scheduler::paper)
+        .collect();
+        schedulers.push(Scheduler::new(&Connectivity::from_spec(
+            PeGeometry::new(24, 3).unwrap(),
+            &spec,
+        )));
         let mut rng = StdRng::seed_from_u64(0xBA7C);
-        // Stream counts straddling the word-group stride: 1–8 streams stay
-        // inside one or two packed words (the one-word tail), 16 is exactly
-        // one [u64; 4] group, 21 is one group plus a two-word tail.
-        for rows in [1usize, 2, 3, 4, 8, 16, 21] {
-            for density_percent in [0u32, 10, 35, 50, 80, 100] {
-                let streams: Vec<Vec<u64>> = (0..rows)
-                    .map(|_| {
-                        (0..257)
-                            .map(|_| {
-                                let mut m = 0u64;
-                                for lane in 0..16 {
-                                    if rng.gen_range(0..100u32) < density_percent {
-                                        m |= 1 << lane;
-                                    }
-                                }
-                                m
+        // Density levels: empty, ~1/8, ~1/2, ~7/8, full, and (level 5) a
+        // group whose streams each draw one of the three partial levels.
+        let mut mask = |level: u32| {
+            let (a, b, c): (u64, u64, u64) = (rng.gen(), rng.gen(), rng.gen());
+            match level {
+                0 => 0,
+                1 => a & b & c,
+                2 => a,
+                3 => a | b | c,
+                _ => u64::MAX,
+            }
+        };
+        for s in &schedulers {
+            let geometry = s.geometry();
+            let slots = (64 / geometry.lanes()).max(1);
+            for count in [1, 3, slots, 4 * slots, 4 * slots + 1] {
+                for rows in [1usize, 17, 257] {
+                    for level in 0..6u32 {
+                        let arena: Vec<u64> = (0..count)
+                            .flat_map(|j| {
+                                let stream_level =
+                                    if level == 5 { 1 + j as u32 % 3 } else { level };
+                                (0..rows).map(|_| mask(stream_level)).collect::<Vec<_>>()
                             })
-                            .collect()
-                    })
-                    .collect();
-                let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-                let batched = s.run_masks_batched(&refs);
-                let reference = s.run_masks_batched_reference(&refs);
-                assert_eq!(batched, reference, "rows {rows} density {density_percent}");
+                            .collect();
+                        let refs: Vec<&[u64]> = arena.chunks(rows).collect();
+                        assert_eq!(
+                            s.run_masks_arena(&arena, rows),
+                            s.run_masks_batched_reference(&refs),
+                            "{geometry} count {count} rows {rows} level {level}"
+                        );
+                    }
+                }
             }
         }
     }
@@ -1454,19 +1385,11 @@ mod tests {
         let s = paper_scheduler();
         let stream: Vec<u64> = (0..1_000).map(|i| (i * 2654435761u64) & 0xFFFF).collect();
         let solo = s.run_masks(stream.iter().copied());
-        let batched = s.run_masks_batched(&[&stream]);
+        let batched = s.run_masks_arena(&stream, stream.len());
         assert_eq!(batched.cycles, solo.cycles);
         assert_eq!(batched.dense_cycles, solo.dense_cycles);
         assert_eq!(batched.macs, solo.macs);
         assert_eq!(batched.scheduler_steps, solo.cycles);
-    }
-
-    #[test]
-    fn batched_empty_streams_yield_zero_run() {
-        let s = paper_scheduler();
-        let empty: &[u64] = &[];
-        let run = s.run_masks_batched(&[empty, empty]);
-        assert_eq!(run, BatchRun::default());
     }
 
     #[test]

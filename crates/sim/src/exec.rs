@@ -9,9 +9,10 @@
 //! multiply by the pass count.
 //!
 //! Each sampled window group is handed to the tile as one
-//! [`Tile::run_group`] call, which executes the whole lockstep loop inside
-//! the batched scheduler kernel
-//! ([`Scheduler::run_masks_batched`](tensordash_core::Scheduler::run_masks_batched))
+//! [`Tile::run_group_arena`] call straight out of the trace's mask arena,
+//! which executes the whole lockstep loop inside the batched scheduler
+//! kernel
+//! ([`Scheduler::run_masks_arena`](tensordash_core::Scheduler::run_masks_arena))
 //! — the dominant cost of every simulation, with no per-cycle dispatch.
 //!
 //! The sampled region of one operation is additionally exposed as a

@@ -30,30 +30,22 @@ proptest! {
     ) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        let streams: Vec<Vec<u64>> = (0..rows)
+        // `rows` streams of `len` masks, back to back in one arena.
+        let arena: Vec<u64> = (0..rows * len)
             .map(|_| {
-                (0..len)
-                    .map(|_| {
-                        let mut m = 0u64;
-                        for lane in 0..16 {
-                            if rng.gen_bool(density) {
-                                m |= 1 << lane;
-                            }
-                        }
-                        m
-                    })
-                    .collect()
+                let mut m = 0u64;
+                for lane in 0..16 {
+                    if rng.gen_bool(density) {
+                        m |= 1 << lane;
+                    }
+                }
+                m
             })
             .collect();
-        let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-        let run = tile(rows).run_group(&refs);
+        let run = tile(rows).run_group_arena(&arena, rows, len);
         prop_assert!(run.cycles <= len as u64, "slower than dense");
         prop_assert!(run.cycles >= (len as u64).div_ceil(3), "beat the depth limit");
-        let effectual: u64 = streams
-            .iter()
-            .flat_map(|s| s.iter())
-            .map(|m| u64::from(m.count_ones()))
-            .sum();
+        let effectual: u64 = arena.iter().map(|m| u64::from(m.count_ones())).sum();
         prop_assert_eq!(run.macs_per_column, effectual);
         prop_assert_eq!(run.scheduler_steps, run.cycles * rows as u64);
     }
