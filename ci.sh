@@ -143,24 +143,29 @@ for _ in $(seq 1 100); do
 done
 [ -n "$serve_url" ] || { echo "serve never reported its address"; cat "$serve_log"; exit 1; }
 curl -sf "$serve_url/healthz" | grep -q '"ok"'
-# One tiny experiment through the full request path, polled to its report.
+# One experiment through the full request path, fetched with one GET.
 # The spec pins a non-default scheduler — the family flows through the
 # service face, and the job's report records which member priced it.
+# Its sample runs for a few hundred ms, so the report GET below arrives
+# while the job is still pending.
 job_url="$(curl -sf -X POST "$serve_url/v1/experiments" -d \
   '{"name": "ci-serve", "models": ["AlexNet"],
     "chip": {"tiles": 1, "scheduler": "2to4"},
-    "eval": {"sample": {"max_windows": 1, "max_rows": 8}}}' \
+    "eval": {"sample": {"max_windows": 1024, "max_rows": 4096}}}' \
   | sed -n 's/.*"report_url": "\([^"]*\)".*/\1/p')"
 [ -n "$job_url" ] || { echo "submit returned no report_url"; exit 1; }
-report=""
-for _ in $(seq 1 100); do
-  report="$(curl -s "$serve_url$job_url")"
-  echo "$report" | grep -q '"ci-serve"' && break
-  sleep 0.1
-done
-echo "$report" | grep -q '"ci-serve"' || { echo "job never finished: $report"; exit 1; }
+# The report GET waits on the job queue until the job finishes (up to
+# 5 s), so the first GET, with no sleep before it, must return the
+# report, and /metrics must count the wait: a silent fallback to an
+# immediate 202 fails here.
+report="$(curl -s "$serve_url$job_url")"
+echo "$report" | grep -q '"ci-serve"' \
+  || { echo "first report GET did not wait for the job: $report"; exit 1; }
 echo "$report" | grep -q '"scheduler": "2to4"' || { echo "served report lost its scheduler"; exit 1; }
-curl -sf "$serve_url/metrics" | grep -q '"evictions"'
+curl -sf "$serve_url/metrics" > "$train_dir/metrics.json"
+grep -q '"evictions"' "$train_dir/metrics.json"
+grep -Eq '"waits": [1-9]' "$train_dir/metrics.json" \
+  || { echo "the report GET did not park"; cat "$train_dir/metrics.json"; exit 1; }
 # Upload the binary artifact end-to-end verified (?digest= -> 409 on
 # mismatch) and replay it by content digest through the full job path.
 curl -sf -X POST --data-binary @"$train_dir/run.trace.bin" \

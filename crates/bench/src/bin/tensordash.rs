@@ -82,9 +82,10 @@ COMMANDS:
                                               unpinned object not kept
     serve                Run the resident simulation service: POST
                          /v1/experiments JSON specs, POST /v1/traces
-                         artifact uploads, GET /v1/jobs/<id>, /healthz,
-                         /metrics; one process-wide trace cache across all
-                         requests. Options: --port <P> (default 7878; 0
+                         artifact uploads, GET /v1/jobs/<id>, GET
+                         /v1/jobs/<id>/report (waits up to 5 s for a
+                         pending job, then 202), /healthz, /metrics; one
+                         process-wide trace cache across all requests. Options: --port <P> (default 7878; 0
                          picks a free port), --host <ADDR>, --workers <N>,
                          --cache-cap <N>, --queue-cap <N>,
                          --trace-dir <DIR> (serve a content-addressed trace
@@ -629,6 +630,7 @@ fn run_serve(args: &[String]) -> Result<(), String> {
     println!(
         "  POST /v1/experiments | POST /v1/traces | GET /v1/jobs/<id>[/report] | /healthz | /metrics"
     );
+    println!("  a report GET on a pending job waits up to 5 s for it to finish, then answers 202");
     // The CI smoke step parses the port off the first line before the
     // first request arrives — don't sit on it in a stdout buffer.
     use std::io::Write as _;

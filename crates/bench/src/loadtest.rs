@@ -596,6 +596,29 @@ impl ChaosNet<'_> {
     }
 }
 
+/// A `GET` after a bombardment, through [`ChaosNet::exchange`] with
+/// generous retries: the server's seeded fault plan is one shared
+/// per-request sequence, so an injected panic or reset can land on any
+/// single request, a closing health check or `/metrics` read included.
+pub(crate) fn chaos_get(
+    addr: SocketAddr,
+    path: &str,
+    seed: u64,
+    retries: &AtomicU64,
+) -> std::io::Result<ClientResponse> {
+    ChaosNet {
+        addr,
+        timeout: Duration::from_secs(5),
+        policy: RetryPolicy {
+            max_attempts: 8,
+            ..RetryPolicy::default()
+        }
+        .with_seed(seed),
+        retries,
+    }
+    .exchange("GET", path, &[], "")
+}
+
 /// A well-formed submit→poll leg, byte-verified on completion. `query`
 /// is appended to the submit path (the deadline probe passes
 /// `?deadline_secs=…`); a `504` terminal is a typed outcome, because a
@@ -857,21 +880,10 @@ pub fn run_chaos(options: &LoadtestOptions, chaos_seed: u64) -> Result<ChaosRepo
     });
     let wall_seconds = start.elapsed().as_secs_f64();
 
-    // The verdict's first clause: is anyone still home? Generous retries
-    // here — injected faults can eat any individual health check.
-    let server_alive = ChaosNet {
-        addr: options.addr,
-        timeout: Duration::from_secs(5),
-        policy: RetryPolicy {
-            max_attempts: 8,
-            ..RetryPolicy::default()
-        }
-        .with_seed(chaos_seed),
-        retries: &retries,
-    }
-    .exchange("GET", "/healthz", &[], "")
-    .map(|response| response.status == 200)
-    .unwrap_or(false);
+    // The verdict's first clause: is anyone still home?
+    let server_alive = chaos_get(options.addr, "/healthz", chaos_seed, &retries)
+        .map(|response| response.status == 200)
+        .unwrap_or(false);
 
     Ok(ChaosReport {
         legs: options.requests,

@@ -14,7 +14,8 @@
 //! ```text
 //! accept → route → parse spec → queue (bounded, 429 at capacity)
 //!        → worker claims → trace-cache lookup → simulate_batch
-//!        → report JSON stored → GET /v1/jobs/<id>/report
+//!        → report JSON stored → the parked GET /v1/jobs/<id>/report
+//!          wakes and answers 200
 //! ```
 //!
 //! Routes:
@@ -26,12 +27,17 @@
 //! |                           | binary, plain or chunked); `201` + digest, |
 //! |                           | `409` on `?digest=` mismatch               |
 //! | `GET /v1/jobs/<id>`       | lifecycle envelope (`queued`/`running`/...)|
-//! | `GET /v1/jobs/<id>/report`| the raw report (`202` until done, `504`    |
-//! |                           | when the job timed out)                    |
+//! |                           | at once                                    |
+//! | `GET /v1/jobs/<id>/report`| the raw report; on a pending job it waits  |
+//! |                           | up to 5 s for the job to finish, then      |
+//! |                           | `200`, `500`, `504` (timed out) or `202`   |
+//! |                           | (still pending); over the cap of half the  |
+//! |                           | connection threads it answers at once      |
 //! | `GET /v1/traces/<digest>` | stored artifact bytes, digest-verified;    |
 //! |                           | `410` when the object rotted (quarantined) |
 //! | `GET /healthz`            | liveness                                   |
-//! | `GET /metrics`            | jobs, cache, store, model walls            |
+//! | `GET /metrics`            | jobs, parked report polls, cache, store,   |
+//! |                           | model walls                                |
 //! | `POST /v1/shutdown`       | graceful shutdown (as `SIGTERM` / idle)    |
 //!
 //! **Trust model.** Trace sources resolve through
@@ -52,7 +58,7 @@ use std::collections::HashMap;
 use std::io;
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 use tensordash_serde::{json, Serialize, Value};
@@ -75,7 +81,8 @@ pub struct ServiceConfig {
     /// Pending-job queue capacity (`--queue-cap`); submissions beyond it
     /// get `429` back-pressure.
     pub queue_capacity: usize,
-    /// Connection-handler threads of the HTTP layer.
+    /// Connection-handler threads of the HTTP layer. At most half of them
+    /// hold report GETs that wait on a pending job.
     pub connection_threads: usize,
     /// Shut down after this long with no requests and no running jobs.
     pub idle_shutdown: Option<Duration>,
@@ -116,6 +123,96 @@ impl Default for ServiceConfig {
     }
 }
 
+/// How long `GET /v1/jobs/<id>/report` on a queued or running job waits
+/// for the job to finish before it answers `202`. A few seconds: long
+/// enough for any service-shaped job, well inside the 30 s and 60 s
+/// socket timeouts of the in-repo clients.
+const REPORT_WAIT: Duration = Duration::from_secs(5);
+
+/// Report polls parked on the job queue. At most `cap` (half the
+/// connection threads) park at once, so submits, uploads and `/healthz`
+/// always find a free handler; a poll over the cap answers at once.
+struct ReportWaits {
+    cap: usize,
+    /// Polls parked now.
+    parked: AtomicUsize,
+    /// Polls that ever parked (lifetime total).
+    waits: AtomicU64,
+    /// Time spent parked, summed over `waits`.
+    wait_nanos: AtomicU64,
+    /// Polls answered at once because `cap` polls were parked.
+    over_cap: AtomicU64,
+}
+
+impl ReportWaits {
+    fn new(connection_threads: usize) -> Self {
+        ReportWaits {
+            cap: connection_threads / 2,
+            parked: AtomicUsize::new(0),
+            waits: AtomicU64::new(0),
+            wait_nanos: AtomicU64::new(0),
+            over_cap: AtomicU64::new(0),
+        }
+    }
+
+    /// Claims a parking slot, or counts the poll as over the cap.
+    fn park(&self) -> Option<ParkedPoll<'_>> {
+        let claimed = self
+            .parked
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < self.cap).then_some(n + 1)
+            })
+            .is_ok();
+        if !claimed {
+            self.over_cap.fetch_add(1, Ordering::Relaxed);
+            return None;
+        }
+        self.waits.fetch_add(1, Ordering::Relaxed);
+        Some(ParkedPoll {
+            waits: self,
+            since: Instant::now(),
+        })
+    }
+
+    fn document(&self) -> Value {
+        Value::Table(vec![
+            (
+                "parked".into(),
+                self.parked.load(Ordering::SeqCst).serialize(),
+            ),
+            (
+                "waits".into(),
+                self.waits.load(Ordering::Relaxed).serialize(),
+            ),
+            (
+                "wait_seconds_total".into(),
+                Value::Float(
+                    Duration::from_nanos(self.wait_nanos.load(Ordering::Relaxed)).as_secs_f64(),
+                ),
+            ),
+            (
+                "over_cap".into(),
+                self.over_cap.load(Ordering::Relaxed).serialize(),
+            ),
+        ])
+    }
+}
+
+/// A claimed parking slot. Dropping it, on return or unwind alike, frees
+/// the slot and books the time parked.
+struct ParkedPoll<'a> {
+    waits: &'a ReportWaits,
+    since: Instant,
+}
+
+impl Drop for ParkedPoll<'_> {
+    fn drop(&mut self) {
+        let nanos = u64::try_from(self.since.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.waits.wait_nanos.fetch_add(nanos, Ordering::Relaxed);
+        self.waits.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 /// Everything a request handler or worker needs, shared via `Arc`.
 struct ServiceState {
     /// Finished reports are held behind `Arc` so status polls clone a
@@ -134,6 +231,8 @@ struct ServiceState {
     model_walls: Mutex<HashMap<String, (u64, f64)>>,
     /// The default job deadline (`--job-deadline-secs`).
     job_deadline: Option<Duration>,
+    /// Report polls parked on the queue, and their cap.
+    report_waits: ReportWaits,
     /// The chaos plan, when the service runs with `--fault-seed`.
     faults: Option<Arc<FaultPlan>>,
     /// The transport's panic/drain counters, set once at bind.
@@ -216,6 +315,7 @@ impl ServiceState {
                     ("rejected".into(), jobs.rejected.serialize()),
                 ]),
             ),
+            ("reports".into(), self.report_waits.document()),
             (
                 "faults".into(),
                 Value::Table(vec![
@@ -467,6 +567,18 @@ impl ServiceState {
         }
     }
 
+    /// Parks a report poll on a queued or running job until the job
+    /// finishes or [`REPORT_WAIT`] passes, and returns its state then.
+    /// Over the parking cap it returns `pending` at once. No shutdown
+    /// wake is needed: `Service::run` drains every admitted job before it
+    /// exits, so a parked poll never outlives its own job.
+    fn await_report(&self, id: JobId, pending: JobState<Arc<str>>) -> Option<JobState<Arc<str>>> {
+        let Some(_parked) = self.report_waits.park() else {
+            return Some(pending);
+        };
+        self.queue.wait(id, REPORT_WAIT)
+    }
+
     fn job_status(&self, path: &str) -> Response {
         let rest = &path["/v1/jobs/".len()..];
         let (id_text, want_report) = match rest.strip_suffix("/report") {
@@ -476,7 +588,13 @@ impl ServiceState {
         let Ok(id) = id_text.parse::<u64>() else {
             return error_json(404, &format!("malformed job id `{id_text}`"));
         };
-        let Some(state) = self.queue.status(JobId(id)) else {
+        let state = match self.queue.status(JobId(id)) {
+            Some(pending @ (JobState::Queued | JobState::Running)) if want_report => {
+                self.await_report(JobId(id), pending)
+            }
+            state => state,
+        };
+        let Some(state) = state else {
             return error_json(404, &format!("no job {id}"));
         };
         if want_report {
@@ -567,6 +685,7 @@ impl Service {
             shutdown: OnceLock::new(),
             model_walls: Mutex::new(HashMap::new()),
             job_deadline: config.job_deadline,
+            report_waits: ReportWaits::new(config.connection_threads.max(1)),
             faults: faults.clone(),
             server_faults: OnceLock::new(),
             dead_sim_workers: AtomicU64::new(0),
@@ -718,9 +837,63 @@ mod tests {
             .to_string()
     }
 
+    /// AlexNet at 64 windows × 512 rows: about 0.4 s in the unoptimized
+    /// test build, long enough to hold a worker while a test looks at the
+    /// service, and far inside [`REPORT_WAIT`].
+    fn heavy_spec_json() -> String {
+        r#"{"name": "svc-heavy", "models": ["AlexNet"],
+            "chip": {"tiles": 1},
+            "eval": {"sample": {"max_windows": 64, "max_rows": 512},
+                     "progress": 0.45, "seed": 5}}"#
+            .to_string()
+    }
+
+    /// The report bytes a direct in-process run of `spec_json` writes.
+    fn direct_report(spec_json: &str) -> String {
+        let spec: ExperimentSpec = tensordash_serde::from_json_str(spec_json).unwrap();
+        json::write(&spec.report_document(&spec.run().unwrap()))
+    }
+
+    /// Submits `spec_json` and returns the job id.
+    fn submit(addr: SocketAddr, spec_json: &str) -> i64 {
+        let (status, body) =
+            client_request(addr, "POST", "/v1/experiments", Some(spec_json), TIMEOUT).unwrap();
+        assert_eq!(status, 202, "{body}");
+        json::parse(&body)
+            .unwrap()
+            .get("job")
+            .unwrap()
+            .as_int()
+            .unwrap()
+    }
+
+    /// The `/metrics` `reports` table.
+    fn report_metrics(addr: SocketAddr) -> Value {
+        let (status, body) = client_request(addr, "GET", "/metrics", None, TIMEOUT).unwrap();
+        assert_eq!(status, 200, "{body}");
+        json::parse(&body).unwrap().get("reports").unwrap().clone()
+    }
+
+    fn count(table: &Value, key: &str) -> u64 {
+        table.get(key).unwrap().as_u64().unwrap()
+    }
+
+    /// Blocks until `/metrics` shows `n` parked report polls.
+    fn await_parked(addr: SocketAddr, n: u64) {
+        let deadline = Instant::now() + TIMEOUT;
+        while count(&report_metrics(addr), "parked") != n {
+            assert!(Instant::now() < deadline, "never saw {n} parked polls");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn health_metrics_submit_poll_and_shutdown_roundtrip() {
-        let service = Service::bind(&ServiceConfig::default()).unwrap();
+        let service = Service::bind(&ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
         let addr = service.local_addr();
         let running = service.spawn();
 
@@ -808,6 +981,30 @@ mod tests {
         assert!(
             metrics.get("models").unwrap().get("AlexNet").is_some(),
             "{body}"
+        );
+
+        // A report poll on a pending job parks until the job finishes:
+        // with the one worker on a heavy job, a tiny job queues behind
+        // it, and one GET of its report returns the report and books
+        // one wait.
+        let before = report_metrics(addr);
+        submit(addr, &heavy_spec_json());
+        let id = submit(addr, &tiny_spec_json());
+        let (status, body) =
+            client_request(addr, "GET", &format!("/v1/jobs/{id}/report"), None, TIMEOUT).unwrap();
+        assert_eq!(status, 200, "the poll must wait for its job: {body}");
+        assert!(body.contains("\"svc-unit\""), "{body}");
+        let after = report_metrics(addr);
+        assert_eq!(count(&after, "waits") - count(&before, "waits"), 1);
+        assert_eq!(count(&after, "parked"), 0);
+        assert_eq!(count(&after, "over_cap"), 0);
+        assert!(
+            after.get("wait_seconds_total").unwrap().as_float().unwrap()
+                > before
+                    .get("wait_seconds_total")
+                    .unwrap()
+                    .as_float()
+                    .unwrap()
         );
 
         // POST /v1/shutdown stops the serve loop; join must succeed.
@@ -1049,6 +1246,103 @@ mod tests {
         running.shutdown_and_join().unwrap();
     }
 
+    /// At most half the handler threads park on report polls. With two
+    /// threads the cap is one: while a heavy job holds the only worker and
+    /// one poll is parked on it, a second poll answers `202` at once and
+    /// counts as over the cap, the free thread still serves `/healthz`
+    /// and submits, and the parked poll ends with the job's exact report.
+    #[test]
+    fn report_polls_park_up_to_half_the_pool_and_answer_202_over_the_cap() {
+        let service = Service::bind(&ServiceConfig {
+            workers: 1,
+            connection_threads: 2,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let running = service.spawn();
+
+        let id = submit(addr, &heavy_spec_json());
+        let report_url = format!("/v1/jobs/{id}/report");
+        let parked = {
+            let report_url = report_url.clone();
+            std::thread::spawn(move || {
+                client_request(addr, "GET", &report_url, None, TIMEOUT).unwrap()
+            })
+        };
+        await_parked(addr, 1);
+
+        let start = Instant::now();
+        let (status, body) = client_request(addr, "GET", &report_url, None, TIMEOUT).unwrap();
+        assert_eq!(status, 202, "{body}");
+        assert!(
+            start.elapsed() < REPORT_WAIT / 5,
+            "an over-cap poll waited {:?}",
+            start.elapsed()
+        );
+        // The status route never waits and never counts as a poll.
+        let (status, body) =
+            client_request(addr, "GET", &format!("/v1/jobs/{id}"), None, TIMEOUT).unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"running\""), "{body}");
+        let (status, body) = client_request(addr, "GET", "/healthz", None, TIMEOUT).unwrap();
+        assert_eq!(status, 200, "{body}");
+        submit(addr, &tiny_spec_json());
+        let reports = report_metrics(addr);
+        assert_eq!(count(&reports, "parked"), 1);
+        assert_eq!(count(&reports, "over_cap"), 1);
+
+        let (status, body) = parked.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body, direct_report(&heavy_spec_json()));
+        let reports = report_metrics(addr);
+        assert_eq!(count(&reports, "parked"), 0);
+        assert_eq!(count(&reports, "waits"), 1);
+        running.shutdown_and_join().unwrap();
+    }
+
+    /// Shutdown needs no wake for parked polls: the drain finishes every
+    /// admitted job, so `shutdown_and_join` with a poll parked returns,
+    /// and the poll gets its report.
+    #[test]
+    fn shutdown_with_a_parked_poll_returns_and_delivers_the_report() {
+        let service = Service::bind(&ServiceConfig {
+            workers: 1,
+            ..ServiceConfig::default()
+        })
+        .unwrap();
+        let addr = service.local_addr();
+        let running = service.spawn();
+        let report_url = format!("/v1/jobs/{}/report", submit(addr, &heavy_spec_json()));
+        let parked =
+            std::thread::spawn(move || client_request(addr, "GET", &report_url, None, TIMEOUT));
+        await_parked(addr, 1);
+        running.shutdown_and_join().unwrap();
+        let (status, body) = parked.join().unwrap().unwrap();
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(body, direct_report(&heavy_spec_json()));
+    }
+
+    /// The parking slot is freed on every exit path, unwinding included.
+    #[test]
+    fn a_parked_poll_frees_its_slot_on_return_and_on_unwind() {
+        let waits = ReportWaits::new(3);
+        {
+            let _slot = waits.park().expect("a free slot");
+            assert!(waits.park().is_none(), "three threads give one slot");
+        }
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _slot = waits.park().expect("the slot was freed on return");
+            panic!("a handler dies while parked");
+        }));
+        assert!(unwound.is_err());
+        assert!(waits.park().is_some(), "the slot was freed on unwind");
+        let doc = waits.document();
+        assert_eq!(count(&doc, "parked"), 0);
+        assert_eq!(count(&doc, "waits"), 3);
+        assert_eq!(count(&doc, "over_cap"), 1);
+    }
+
     /// The end-to-end chaos contract: a fault-injected service survives
     /// the full adversarial mix — injected panics, dropped connections,
     /// resets, slow-loris drips, oversized bodies, corrupt uploads,
@@ -1079,9 +1373,12 @@ mod tests {
         );
 
         // The server side kept its books: every terminal job is typed,
-        // and nothing died.
-        let (_, body) = client_request(addr, "GET", "/metrics", None, TIMEOUT).unwrap();
-        let metrics = json::parse(&body).unwrap();
+        // and nothing died. The fault plan still runs, so this read
+        // retries through injected faults like every chaos leg.
+        let response = crate::loadtest::chaos_get(addr, "/metrics", 7, &AtomicU64::new(0))
+            .expect("/metrics answers through injected faults");
+        assert_eq!(response.status, 200, "{}", response.body_utf8_lossy());
+        let metrics = json::parse(&response.body_utf8_lossy()).unwrap();
         let faults = metrics.get("faults").unwrap();
         assert_eq!(faults.get("dead_workers").unwrap().as_u64().unwrap(), 0);
         assert_eq!(faults.get("dead_sim_workers").unwrap().as_u64().unwrap(), 0);

@@ -8,6 +8,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Finished jobs (and their outputs) kept queryable, oldest evicted
 /// first. Generous for any real polling client — a result only
@@ -258,23 +259,26 @@ impl<I, O: Clone> JobQueue<I, O> {
         self.lock().jobs.get(&id).cloned()
     }
 
-    /// Blocks until the job leaves the queued/running states, returning its
-    /// terminal state (`None` for an unknown id).
+    /// Blocks until the job leaves the queued/running states or `timeout`
+    /// passes, returning its state at that point: the terminal state as
+    /// soon as the job finishes, the still-pending state once the timeout
+    /// is spent, and `None` for an unknown (or meanwhile evicted) id.
     #[must_use]
-    pub fn wait(&self, id: JobId) -> Option<JobState<O>> {
+    pub fn wait(&self, id: JobId, timeout: Duration) -> Option<JobState<O>> {
+        let start = Instant::now();
         let mut state = self.lock();
         loop {
-            match state.jobs.get(&id) {
-                None => return None,
-                Some(JobState::Queued | JobState::Running) => {
-                    state = self
-                        .shared
-                        .job_finished
-                        .wait(state)
-                        .expect("job queue poisoned");
-                }
-                Some(terminal) => return Some(terminal.clone()),
+            let job = state.jobs.get(&id)?;
+            let left = timeout.saturating_sub(start.elapsed());
+            if !matches!(job, JobState::Queued | JobState::Running) || left.is_zero() {
+                return Some(job.clone());
             }
+            state = self
+                .shared
+                .job_finished
+                .wait_timeout(state, left)
+                .expect("job queue poisoned")
+                .0;
         }
     }
 
@@ -383,7 +387,9 @@ impl<I, O: Clone> JobQueue<I, O> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+
+    /// A wait bound no test should reach.
+    const LONG: Duration = Duration::from_secs(30);
 
     #[test]
     fn jobs_flow_queued_running_done_in_fifo_order() {
@@ -397,8 +403,8 @@ mod tests {
             let queue = queue.clone();
             std::thread::spawn(move || queue.run_worker(|_, n| Ok(n * 10)))
         };
-        assert_eq!(queue.wait(a), Some(JobState::Done(10)));
-        assert_eq!(queue.wait(b), Some(JobState::Done(20)));
+        assert_eq!(queue.wait(a, LONG), Some(JobState::Done(10)));
+        assert_eq!(queue.wait(b, LONG), Some(JobState::Done(20)));
         let stats = queue.stats();
         assert_eq!((stats.done, stats.failed), (2, 0));
         assert!(stats.is_idle());
@@ -472,7 +478,7 @@ mod tests {
         assert_eq!((stats.done, stats.failed), (3, 3));
         assert!(stats.is_idle());
         assert_eq!(queue.status(ids[1]), Some(JobState::Failed("odd 1".into())));
-        assert_eq!(queue.wait(ids[2]), Some(JobState::Done(2)));
+        assert_eq!(queue.wait(ids[2], LONG), Some(JobState::Done(2)));
     }
 
     /// Panic isolation: a panicking job becomes `Failed` with the panic
@@ -519,13 +525,89 @@ mod tests {
                 });
             })
         };
-        let state = queue.wait(slow).unwrap();
+        let state = queue.wait(slow, LONG).unwrap();
         assert_eq!(state, JobState::TimedOut("deadline 0.5s exceeded".into()));
         assert_eq!(state.name(), "timed_out");
-        assert_eq!(queue.wait(fine), Some(JobState::Done(2)));
+        assert_eq!(queue.wait(fine, LONG), Some(JobState::Done(2)));
         let stats = queue.stats();
         assert_eq!((stats.done, stats.failed, stats.timed_out), (1, 0, 1));
         queue.shutdown();
         worker.join().unwrap();
+    }
+
+    /// A worker that runs each job only once the test sends on the
+    /// returned channel.
+    fn gated_worker(
+        queue: &JobQueue<u32, u32>,
+    ) -> (std::sync::mpsc::Sender<()>, std::thread::JoinHandle<()>) {
+        let (release, gate) = std::sync::mpsc::channel::<()>();
+        let queue = queue.clone();
+        let worker = std::thread::spawn(move || {
+            queue.run_worker(|_, n| {
+                gate.recv().expect("test dropped the gate");
+                Ok(n + 1)
+            });
+        });
+        (release, worker)
+    }
+
+    #[test]
+    fn wait_returns_the_terminal_state_as_soon_as_the_job_finishes() {
+        let queue: JobQueue<u32, u32> = JobQueue::bounded(8);
+        let id = queue.submit(4).unwrap();
+        let (release, worker) = gated_worker(&queue);
+        let waiter = {
+            let queue = queue.clone();
+            std::thread::spawn(move || {
+                let start = Instant::now();
+                (queue.wait(id, LONG), start.elapsed())
+            })
+        };
+        // Most likely the waiter blocks before the job runs; the
+        // assertions hold in either order.
+        std::thread::sleep(Duration::from_millis(20));
+        release.send(()).unwrap();
+        let (state, waited) = waiter.join().unwrap();
+        assert_eq!(state, Some(JobState::Done(5)));
+        assert!(waited < LONG / 3, "the wait outlived its job: {waited:?}");
+        queue.shutdown();
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn wait_returns_the_pending_state_once_the_timeout_passes() {
+        let queue: JobQueue<u32, u32> = JobQueue::bounded(8);
+        let id = queue.submit(4).unwrap();
+        let bound = Duration::from_millis(30);
+        // No worker yet: the job stays queued through the whole wait.
+        let start = Instant::now();
+        assert_eq!(queue.wait(id, bound), Some(JobState::Queued));
+        assert!(start.elapsed() >= bound, "{:?}", start.elapsed());
+        assert_eq!(queue.wait(id, Duration::ZERO), Some(JobState::Queued));
+
+        // Claimed but held: the wait times out on a running job too.
+        let other = queue.submit(6).unwrap();
+        let (release, worker) = gated_worker(&queue);
+        while queue.status(id) != Some(JobState::Running) {
+            std::thread::yield_now();
+        }
+        let start = Instant::now();
+        assert_eq!(queue.wait(id, bound), Some(JobState::Running));
+        assert!(start.elapsed() >= bound, "{:?}", start.elapsed());
+        release.send(()).unwrap();
+        release.send(()).unwrap();
+        assert_eq!(queue.wait(other, LONG), Some(JobState::Done(7)));
+        assert_eq!(queue.status(id), Some(JobState::Done(5)));
+        queue.shutdown();
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn wait_returns_none_for_an_unknown_id() {
+        let queue: JobQueue<u32, u32> = JobQueue::bounded(8);
+        queue.submit(1).unwrap();
+        let start = Instant::now();
+        assert_eq!(queue.wait(JobId(999), LONG), None);
+        assert!(start.elapsed() < LONG / 3, "{:?}", start.elapsed());
     }
 }

@@ -12,8 +12,8 @@
 //!   limits, response writing, and the minimal client the load generator
 //!   and end-to-end tests drive the service with;
 //! * [`jobs`] — a bounded, generic [`JobQueue`]: back-pressure at
-//!   capacity, FIFO worker claiming, queryable job lifecycle, graceful
-//!   drain on shutdown;
+//!   capacity, FIFO worker claiming, queryable job lifecycle, a timed
+//!   wait for a job's terminal state, graceful drain on shutdown;
 //! * [`server`] — the thread-pool [`Server`]: a blocking
 //!   accept loop feeding connection-handler threads, shutting down
 //!   cooperatively on an in-process flag, `SIGTERM`, or an idle timeout;
