@@ -282,7 +282,7 @@ impl From<Cancelled> for EvalAbort {
 pub trait ModelEval {
     /// Evaluates any [`TraceSource`] through `cache`, labelling the
     /// report with `label` (pass [`TraceSource::label`] for the default)
-    /// and checking `cancel` at every *(layer, op, chunk)* work-item
+    /// and checking `cancel` at every *(layer, op, bundle)* work-item
     /// boundary — the service's job-deadline path. The trace build itself
     /// is not cancellable (a complete build is what keeps the shared
     /// cache poison-free), only the simulation is.

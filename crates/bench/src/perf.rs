@@ -4,10 +4,11 @@
 //! `BENCH_<n>.json` at the repository root, so the project keeps a
 //! performance trajectory the next change has to beat:
 //!
-//! * **kernel** — scheduler step throughput: the wide-word kernel
-//!   (`step_masks4`, four windows per call) vs the one-word tail path vs
-//!   the scalar reference search, plus whole row-group throughput
-//!   (`run_masks_arena`) vs the per-step engine-dispatch loop;
+//! * **kernel** — scheduler step throughput (`step_masks` vs the scalar
+//!   reference search), plus whole row-group throughput: 16 streams as
+//!   four Table 2 row-groups stepped in flight by one `run_masks_arena`
+//!   call (the headline), the same streams one group per call, and the
+//!   per-step engine-dispatch reference;
 //! * **schedulers** — the scheduler family side by side over one fixed
 //!   row-group arena: each member's modeled speedup, and the row-group
 //!   masks/s of every member except the arithmetic `dense` one;
@@ -79,20 +80,21 @@ pub struct BenchOptions {
 /// Scheduler-kernel throughput: the hot path measured in isolation.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelBench {
-    /// Single-window scheduling steps per second through the wide-word
-    /// kernel (`step_masks4`, four windows per call) — the headline rate
-    /// the `--baseline` gate watches.
+    /// Single-window scheduling steps per second through the batched
+    /// kernel (`step_masks`, one window per call).
     pub steps_per_sec_batched: f64,
-    /// Single-window scheduling steps per second through the one-word
-    /// tail path (`step_masks`, one window per call). Kept measured so a
-    /// silent fallback to the narrow path is visible as
-    /// `wide_speedup() <= 1`.
-    pub steps_per_sec_single_word: f64,
     /// Single-window scheduling steps per second, scalar reference.
     pub steps_per_sec_reference: f64,
-    /// Row-group masks scheduled per second, `run_masks_arena`.
+    /// Row-group masks scheduled per second by `run_masks_arena` with
+    /// four Table 2 row-groups of 4 streams in flight in one call — the
+    /// headline rate the `--baseline` gate watches.
     pub group_masks_per_sec_batched: f64,
-    /// Row-group masks scheduled per second, per-step engine dispatch.
+    /// The same streams through `run_masks_arena` one row-group per call.
+    /// Kept measured so a silent fallback to one group in flight shows as
+    /// `in_flight_speedup()` near 1.
+    pub group_masks_per_sec_one_group: f64,
+    /// The same streams through the per-step engine-dispatch reference,
+    /// one row-group at a time.
     pub group_masks_per_sec_reference: f64,
 }
 
@@ -103,11 +105,12 @@ impl KernelBench {
         self.steps_per_sec_batched / self.steps_per_sec_reference
     }
 
-    /// Wide-word-over-single-word step throughput ratio — the smoke
-    /// guard that the `step_masks4` leg actually engages.
+    /// Four-groups-in-flight over one-group-per-call row-group throughput
+    /// ratio — the guard that the in-flight path engages (checked on the
+    /// release build, where it holds; see `ci.sh`).
     #[must_use]
-    pub fn wide_speedup(&self) -> f64 {
-        self.steps_per_sec_batched / self.steps_per_sec_single_word
+    pub fn in_flight_speedup(&self) -> f64 {
+        self.group_masks_per_sec_batched / self.group_masks_per_sec_one_group
     }
 
     /// Batched-over-reference row-group throughput ratio.
@@ -308,14 +311,6 @@ impl BenchSummary {
                 Value::Float(self.kernel.steps_per_sec_batched),
             ),
             (
-                "steps_per_sec_single_word".into(),
-                Value::Float(self.kernel.steps_per_sec_single_word),
-            ),
-            (
-                "wide_speedup".into(),
-                Value::Float(self.kernel.wide_speedup()),
-            ),
-            (
                 "steps_per_sec_reference".into(),
                 Value::Float(self.kernel.steps_per_sec_reference),
             ),
@@ -326,6 +321,14 @@ impl BenchSummary {
             (
                 "group_masks_per_sec_batched".into(),
                 Value::Float(self.kernel.group_masks_per_sec_batched),
+            ),
+            (
+                "group_masks_per_sec_one_group".into(),
+                Value::Float(self.kernel.group_masks_per_sec_one_group),
+            ),
+            (
+                "in_flight_speedup".into(),
+                Value::Float(self.kernel.in_flight_speedup()),
             ),
             (
                 "group_masks_per_sec_reference".into(),
@@ -473,7 +476,7 @@ impl BenchSummary {
             ),
         ]);
         Value::Table(vec![
-            ("schema".into(), Value::Str("tensordash-bench/10".into())),
+            ("schema".into(), Value::Str(BENCH_SCHEMA.into())),
             ("smoke".into(), Value::Bool(self.smoke)),
             ("nproc".into(), self.nproc.serialize()),
             ("kernel".into(), kernel),
@@ -574,6 +577,48 @@ fn sample_seconds(samples: usize, routine: &mut impl FnMut()) -> Vec<f64> {
 /// microseconds) report a real rate instead of dividing by timer jitter.
 /// Returns `units_per_call * repeats / best_seconds`.
 fn floored_rate(samples: usize, units_per_call: f64, mut routine: impl FnMut()) -> f64 {
+    let repeats = floor_repeats(&mut routine);
+    let seconds = best_seconds(samples, || {
+        for _ in 0..repeats {
+            routine();
+        }
+    });
+    units_per_call * repeats as f64 / seconds
+}
+
+/// As [`floored_rate`] for two routines over the same work, with their
+/// timed samples interleaved: a change in the host's speed during the
+/// measurement lands on both, so their ratio reads the code rather than
+/// the moment.
+fn paired_floored_rates(
+    samples: usize,
+    units_per_call: f64,
+    mut a: impl FnMut(),
+    mut b: impl FnMut(),
+) -> (f64, f64) {
+    let (repeats_a, repeats_b) = (floor_repeats(&mut a), floor_repeats(&mut b));
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..samples.max(1) {
+        for (routine, repeats, best) in [
+            (&mut a as &mut dyn FnMut(), repeats_a, &mut best_a),
+            (&mut b, repeats_b, &mut best_b),
+        ] {
+            let start = Instant::now();
+            for _ in 0..repeats {
+                routine();
+            }
+            *best = best.min(start.elapsed().as_secs_f64());
+        }
+    }
+    (
+        units_per_call * repeats_a as f64 / best_a,
+        units_per_call * repeats_b as f64 / best_b,
+    )
+}
+
+/// How many calls of `routine` one timed sample needs for its wall to
+/// clear the ~10 ms floor.
+fn floor_repeats(routine: &mut impl FnMut()) -> usize {
     const MIN_WALL: f64 = 0.01;
     let mut repeats = 1usize;
     loop {
@@ -583,18 +628,12 @@ fn floored_rate(samples: usize, units_per_call: f64, mut routine: impl FnMut()) 
         }
         let elapsed = start.elapsed().as_secs_f64();
         if elapsed >= MIN_WALL {
-            break;
+            return repeats;
         }
         // Overshoot the floor 2x so the probe settles in a step or two.
         let scale = (MIN_WALL / elapsed.max(1e-9) * 2.0).ceil() as usize;
         repeats = repeats.saturating_mul(scale.max(2));
     }
-    let seconds = best_seconds(samples, || {
-        for _ in 0..repeats {
-            routine();
-        }
-    });
-    units_per_call * repeats as f64 / seconds
 }
 
 fn random_masks(seed: u64, rows: usize, density: f64) -> Vec<u64> {
@@ -611,6 +650,11 @@ fn random_masks(seed: u64, rows: usize, density: f64) -> Vec<u64> {
         })
         .collect()
 }
+
+/// Rows per stream of the kernel bench's row-group legs. The smoke and
+/// full variants time the same streams, so the group rates compare
+/// across variants.
+const KERNEL_GROUP_ROWS: usize = 2048;
 
 /// Measures the scheduler kernel: single-window steps and whole row-groups,
 /// batched vs reference, over a fixed mixed-density workload.
@@ -629,13 +673,10 @@ pub fn bench_kernel(smoke: bool) -> KernelBench {
 
     // One batch of staging windows per density level: windows of one
     // operation share a sparsity level, so density-homogeneous batches are
-    // the representative workload shape. 512 divides by 4, so the wide
-    // leg consumes the identical windows as whole `[u64; 4]` groups with
-    // no tail.
+    // the representative workload shape.
     let mut rng = StdRng::seed_from_u64(0xDA5A);
     let densities = [0.1, 0.35, 0.6, 0.9];
     let mut batched = 0.0;
-    let mut single_word = 0.0;
     let mut reference = 0.0;
     for density in densities {
         let windows: Vec<[u64; MAX_DEPTH]> = (0..windows_per_density)
@@ -653,23 +694,7 @@ pub fn bench_kernel(smoke: bool) -> KernelBench {
                 z
             })
             .collect();
-        let groups: Vec<[[u64; MAX_DEPTH]; 4]> = windows
-            .chunks_exact(4)
-            .map(|c| [c[0], c[1], c[2], c[3]])
-            .collect();
         batched += best_seconds(samples, || {
-            let mut total = 0u64;
-            for _ in 0..passes {
-                for group in &groups {
-                    let mut z = *group;
-                    for outcome in scheduler.step_masks4(&mut z) {
-                        total += outcome.macs as u64;
-                    }
-                }
-            }
-            std::hint::black_box(total);
-        });
-        single_word += best_seconds(samples, || {
             let mut total = 0u64;
             for _ in 0..passes {
                 for window in &windows {
@@ -692,43 +717,59 @@ pub fn bench_kernel(smoke: bool) -> KernelBench {
     }
     let window_count = windows_per_density * passes * densities.len();
 
-    // Whole row-groups: 4 streams (the paper tile's rows), mixed densities,
-    // back to back in one arena as the tile simulator feeds them.
-    let stream_rows = if smoke { 512 } else { 16_384 };
-    let streams = group_streams(stream_rows);
-    let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
+    // Whole row-groups: four Table 2 groups of 4 streams (the paper
+    // tile's rows), back to back in one arena as the simulator feeds a
+    // bundle. The headline leg steps all four in flight in one call; the
+    // one-group leg prices the same streams a group per call.
+    let rows = KERNEL_GROUP_ROWS;
+    let streams = group_streams(4, rows);
     let arena = streams.concat();
     let group_masks = arena.len() as f64;
-    let group_batched = best_seconds(samples, || {
-        std::hint::black_box(scheduler.run_masks_arena(&arena, stream_rows));
-    });
-    let group_reference = best_seconds(samples, || {
-        std::hint::black_box(scheduler.run_masks_batched_reference(&refs));
+    let (group_batched, group_one) = paired_floored_rates(
+        samples,
+        group_masks,
+        || {
+            std::hint::black_box(scheduler.run_masks_arena(&arena, rows, 4));
+        },
+        || {
+            for group in arena.chunks(4 * rows) {
+                std::hint::black_box(scheduler.run_masks_arena(group, rows, 4));
+            }
+        },
+    );
+    let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
+    let group_reference = floored_rate(samples, group_masks, || {
+        for group in refs.chunks(4) {
+            std::hint::black_box(scheduler.run_masks_batched_reference(group));
+        }
     });
 
     KernelBench {
         steps_per_sec_batched: window_count as f64 / batched,
-        steps_per_sec_single_word: window_count as f64 / single_word,
         steps_per_sec_reference: window_count as f64 / reference,
-        group_masks_per_sec_batched: group_masks / group_batched,
-        group_masks_per_sec_reference: group_masks / group_reference,
+        group_masks_per_sec_batched: group_batched,
+        group_masks_per_sec_one_group: group_one,
+        group_masks_per_sec_reference: group_reference,
     }
 }
 
-/// The fixed row-group workload of the kernel group leg and the
-/// scheduler-family section: 4 streams (the paper tile's rows) of
-/// `stream_rows` masks at mixed densities.
-fn group_streams(stream_rows: usize) -> Vec<Vec<u64>> {
-    [0.15, 0.35, 0.5, 0.75]
-        .iter()
-        .enumerate()
-        .map(|(i, &density)| random_masks(7 + i as u64, stream_rows, density))
+/// The fixed row-group workload of the kernel group legs and the
+/// scheduler-family section: `groups` row-groups of 4 streams (the paper
+/// tile's rows) of `stream_rows` masks, each group at mixed densities.
+fn group_streams(groups: u64, stream_rows: usize) -> Vec<Vec<u64>> {
+    (0..groups)
+        .flat_map(|g| {
+            [0.15, 0.35, 0.5, 0.75]
+                .iter()
+                .enumerate()
+                .map(move |(i, &density)| random_masks(7 + 4 * g + i as u64, stream_rows, density))
+        })
         .collect()
 }
 
 /// Measures every member of the scheduler family over one fixed
-/// row-group workload: the same 4 mixed-density streams the kernel
-/// group bench uses, in one arena, run through each member's batched
+/// row-group workload: the kernel group legs' first row-group of 4
+/// mixed-density streams, in one arena, run through each member's batched
 /// kernel. Each rate is measured with `floored_rate`'s minimum-wall
 /// discipline, so the cheap structured members report commensurable
 /// masks/s instead of timer jitter; `dense` is not timed at all (its run
@@ -740,15 +781,15 @@ fn group_streams(stream_rows: usize) -> Vec<Vec<u64>> {
 pub fn bench_schedulers(smoke: bool) -> Vec<SchedulerBench> {
     let samples = if smoke { 5 } else { 9 };
     let stream_rows = if smoke { 512 } else { 16_384 };
-    let arena = group_streams(stream_rows).concat();
+    let arena = group_streams(1, stream_rows).concat();
     SchedulerKind::ALL
         .iter()
         .map(|&kind| {
             let scheduler = SparsityScheduler::new(kind, PeGeometry::paper());
-            let run = scheduler.run_masks_arena(&arena, stream_rows);
+            let run = scheduler.run_masks_arena(&arena, stream_rows, 4);
             let rate = (kind != SchedulerKind::Dense).then(|| {
                 floored_rate(samples, arena.len() as f64, || {
-                    std::hint::black_box(scheduler.run_masks_arena(&arena, stream_rows));
+                    std::hint::black_box(scheduler.run_masks_arena(&arena, stream_rows, 4));
                 })
             });
             SchedulerBench {
@@ -1042,8 +1083,9 @@ pub fn bench_sharding(smoke: bool) -> ShardingBench {
     use tensordash_models::vit_l_mlp;
 
     let model = vit_l_mlp();
-    // Enough sampled windows that each op splits into many tile
-    // row-group chunks (windows / 16 rows per chunk).
+    // Enough sampled windows that each op splits into several work
+    // items (a bundle is four row-groups of the 4-row tile: windows / 16
+    // bundles).
     let spec = EvalSpec::builder()
         .streams(if smoke { 64 } else { 256 }, 128)
         .progress(0.5)
@@ -1186,6 +1228,11 @@ pub fn bench_service(smoke: bool) -> ServiceBench {
     service_bench
 }
 
+/// The `schema` tag of the documents this build writes. It moves whenever
+/// a metric's measured work changes, so a baseline of another schema is
+/// not compared on the kernel legs (see [`diff_against_baseline`]).
+const BENCH_SCHEMA: &str = "tensordash-bench/11";
+
 /// Throughput regressions larger than this fraction fail a
 /// `--baseline` run (kernel, trace, and model metrics).
 pub const BASELINE_TOLERANCE: f64 = 0.20;
@@ -1246,10 +1293,16 @@ fn baseline_float(doc: &Value, section: &str, key: &str) -> Option<f64> {
 /// workload in both variants (smoke trims samples and stream length, not
 /// the measured loop), so they compare across smoke/full runs — which is
 /// what lets CI's smoke run gate against a committed full-run baseline.
-/// Trace and per-model throughputs are only compared when both runs used
-/// the same variant: the smoke variant extracts a smaller layer and
-/// evaluates a reduced spec, so its masks/sec and cycles-per-second are
-/// not commensurable with a full run's. Metrics the baseline predates
+/// They compare only against a baseline of this build's schema: schema
+/// `tensordash-bench/11` kept the key names of both gated kernel legs but
+/// changed their work (`steps_per_sec_batched` times one window per call,
+/// not four; `group_masks_per_sec_batched` times 16 streams as four
+/// groups in flight, not one 4-stream group), so matching older documents
+/// by key name would gate unrelated numbers. Trace and per-model
+/// throughputs are only compared when both runs used the same variant:
+/// the smoke variant extracts a smaller layer and evaluates a reduced
+/// spec, so its masks/sec and cycles-per-second are not commensurable
+/// with a full run's. Metrics the baseline predates
 /// (e.g. the `trace` section in `BENCH_2.json`) are skipped.
 #[must_use]
 pub fn diff_against_baseline(summary: &BenchSummary, baseline: &Value) -> Vec<BaselineEntry> {
@@ -1283,20 +1336,25 @@ pub fn diff_against_baseline(summary: &BenchSummary, baseline: &Value) -> Vec<Ba
         }
     }
     let mut entries = Vec::new();
-    push(
-        &mut entries,
-        "kernel.steps_per_sec_batched",
-        baseline_float(baseline, "kernel", "steps_per_sec_batched"),
-        summary.kernel.steps_per_sec_batched,
-        BASELINE_TOLERANCE,
-    );
-    push(
-        &mut entries,
-        "kernel.group_masks_per_sec_batched",
-        baseline_float(baseline, "kernel", "group_masks_per_sec_batched"),
-        summary.kernel.group_masks_per_sec_batched,
-        BASELINE_TOLERANCE,
-    );
+    let same_schema = baseline
+        .get("schema")
+        .is_some_and(|schema| schema.as_str().ok() == Some(BENCH_SCHEMA));
+    if same_schema {
+        push(
+            &mut entries,
+            "kernel.steps_per_sec_batched",
+            baseline_float(baseline, "kernel", "steps_per_sec_batched"),
+            summary.kernel.steps_per_sec_batched,
+            BASELINE_TOLERANCE,
+        );
+        push(
+            &mut entries,
+            "kernel.group_masks_per_sec_batched",
+            baseline_float(baseline, "kernel", "group_masks_per_sec_batched"),
+            summary.kernel.group_masks_per_sec_batched,
+            BASELINE_TOLERANCE,
+        );
+    }
     // Service traffic throughput: the per-request workload is identical
     // in both variants (smoke only trims the request count), so — like
     // the kernel rates — it compares across smoke/full runs, which is
@@ -1530,15 +1588,13 @@ mod tests {
         let kernel = bench_kernel(true);
         assert!(kernel.steps_per_sec_batched > 0.0);
         assert!(kernel.steps_per_sec_reference > 0.0);
+        // Both row-group legs are measured. Their ratio is the fallback
+        // guard, but it holds only in release: this debug build reads four
+        // groups in flight at about 0.9x one group per call, so ci.sh
+        // checks `in_flight_speedup` on its release bench run instead.
         assert!(kernel.group_masks_per_sec_batched > 0.0);
-        // The fallback guard: if the headline rate ever stops flowing
-        // through `step_masks4`, the wide leg reads no faster than the
-        // one-word tail and this trips.
-        assert!(
-            kernel.wide_speedup() > 1.0,
-            "the wide-word kernel must beat the single-word path ({:.3}x)",
-            kernel.wide_speedup()
-        );
+        assert!(kernel.group_masks_per_sec_one_group > 0.0);
+        assert!(kernel.group_masks_per_sec_reference > 0.0);
         let trace = bench_trace(true);
         assert!(trace.extract_masks_per_sec_bitmap > 0.0);
         assert!(
@@ -1617,7 +1673,7 @@ mod tests {
         assert!(doc.get("schedulers").is_some());
         assert_eq!(
             doc.get("schema").unwrap().as_str().unwrap(),
-            "tensordash-bench/10"
+            "tensordash-bench/11"
         );
         assert_eq!(doc.get("nproc").unwrap().as_u64().unwrap(), 2);
         assert!(doc.get("trace").is_some());
@@ -1627,7 +1683,8 @@ mod tests {
         assert!(doc.get("service").is_some());
         let json = tensordash_serde::json::write(&doc);
         assert!(json.contains("steps_per_sec_batched"));
-        assert!(json.contains("steps_per_sec_single_word"));
+        assert!(json.contains("group_masks_per_sec_one_group"));
+        assert!(json.contains("in_flight_speedup"));
         assert!(json.contains("wall_seconds_8_threads"));
         assert!(json.contains("modeled_speedup"));
         assert!(json.contains("extraction_speedup"));
@@ -1644,9 +1701,9 @@ mod tests {
             nproc: 2,
             kernel: KernelBench {
                 steps_per_sec_batched: 5.0e6, // half the baseline: regressed
-                steps_per_sec_single_word: 2.0e6,
                 steps_per_sec_reference: 1.0e6,
                 group_masks_per_sec_batched: 2.0e7, // improved
+                group_masks_per_sec_one_group: 1.4e7,
                 group_masks_per_sec_reference: 1.0e7,
             },
             schedulers: fixed_schedulers(),
@@ -1663,13 +1720,14 @@ mod tests {
             service: fixed_service(),
             total_wall_seconds: 0.0,
         };
-        // A BENCH_2-era baseline: kernel only, no trace/service sections,
-        // full run.
-        let baseline = tensordash_serde::json::parse(
-            r#"{"smoke": false, "kernel": {"steps_per_sec_batched": 1.0e7,
+        // A kernel-only baseline of this schema (no trace/service
+        // sections), full run.
+        let kernel_only = r#""smoke": false, "kernel": {"steps_per_sec_batched": 1.0e7,
                 "group_masks_per_sec_batched": 1.8e7}, "models": [
-                {"name": "AlexNet", "cycles_per_second": 8.0e9}]}"#,
-        )
+                {"name": "AlexNet", "cycles_per_second": 8.0e9}]}"#;
+        let baseline = tensordash_serde::json::parse(&format!(
+            r#"{{"schema": "tensordash-bench/11", {kernel_only}"#
+        ))
         .unwrap();
         let diffs = diff_against_baseline(&summary, &baseline);
         // Trace and model metrics skipped (different variant — and the
@@ -1687,6 +1745,13 @@ mod tests {
             .unwrap();
         assert!(!group.regressed());
         assert!(group.ratio() > 1.0);
+
+        // The same numbers under an older schema, or none (BENCH_2 had no
+        // tag), time other work under the same key names: not compared.
+        for tag in [r#""schema": "tensordash-bench/10", "#, ""] {
+            let old = tensordash_serde::json::parse(&format!("{{{tag}{kernel_only}")).unwrap();
+            assert!(diff_against_baseline(&summary, &old).is_empty(), "{tag}");
+        }
     }
 
     #[test]
@@ -1696,9 +1761,9 @@ mod tests {
             nproc: 2,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0e7,
-                steps_per_sec_single_word: 4.0e6,
                 steps_per_sec_reference: 1.0e6,
                 group_masks_per_sec_batched: 1.0e7,
+                group_masks_per_sec_one_group: 7.0e6,
                 group_masks_per_sec_reference: 1.0e7,
             },
             schedulers: fixed_schedulers(),
@@ -1771,9 +1836,9 @@ mod tests {
             nproc: 2,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0,
-                steps_per_sec_single_word: 1.0,
                 steps_per_sec_reference: 1.0,
                 group_masks_per_sec_batched: 1.0,
+                group_masks_per_sec_one_group: 1.0,
                 group_masks_per_sec_reference: 1.0,
             },
             schedulers: fixed_schedulers(),
@@ -1825,9 +1890,9 @@ mod tests {
             nproc: 2,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0,
-                steps_per_sec_single_word: 1.0,
                 steps_per_sec_reference: 1.0,
                 group_masks_per_sec_batched: 1.0,
+                group_masks_per_sec_one_group: 1.0,
                 group_masks_per_sec_reference: 1.0,
             },
             schedulers: fixed_schedulers(),

@@ -308,10 +308,10 @@ fn bench_smoke_writes_a_perf_report() {
     assert!(text.contains("row-group"), "{text}");
     let json = std::fs::read_to_string(&out_path).unwrap();
     for key in [
-        "tensordash-bench/10",
+        "tensordash-bench/11",
         "\"nproc\"",
-        "steps_per_sec_single_word",
-        "wide_speedup",
+        "group_masks_per_sec_one_group",
+        "in_flight_speedup",
         "wall_seconds_8_threads",
         "parallel_speedup",
         "modeled_speedup",
@@ -335,11 +335,13 @@ fn bench_smoke_writes_a_perf_report() {
 
     // Deterministic gate checks (real recorded rates would race the
     // machine's load): an easily-beaten baseline must pass and print the
-    // comparison table, an unbeatable one must fail the run.
+    // comparison table, an unbeatable one must fail the run. The kernel
+    // legs compare only against a baseline of the current schema.
     let low_baseline = temp_file("bench-baseline-low.json");
     std::fs::write(
         &low_baseline,
-        r#"{"smoke": true, "kernel": {"steps_per_sec_batched": 1.0,
+        r#"{"schema": "tensordash-bench/11", "smoke": true,
+            "kernel": {"steps_per_sec_batched": 1.0,
             "group_masks_per_sec_batched": 1.0}}"#,
     )
     .unwrap();
@@ -364,7 +366,8 @@ fn bench_smoke_writes_a_perf_report() {
     let high_baseline = temp_file("bench-baseline-high.json");
     std::fs::write(
         &high_baseline,
-        r#"{"smoke": true, "kernel": {"steps_per_sec_batched": 1.0e18,
+        r#"{"schema": "tensordash-bench/11", "smoke": true,
+            "kernel": {"steps_per_sec_batched": 1.0e18,
             "group_masks_per_sec_batched": 1.0e18}}"#,
     )
     .unwrap();

@@ -292,18 +292,25 @@ impl TwoToFourScheduler {
         })
     }
 
-    /// Runs a lockstep row-group with the word-parallel kernel: one
+    /// Runs lockstep row-groups with the word-parallel kernel: one
     /// nibble-SWAR pairability test per stream per cycle, four streams per
     /// word-group stride. Reads `arena.len() / rows` streams of `rows`
     /// masks each out of a flat arena (zero-copy, like
-    /// [`Scheduler::run_masks_arena`]).
+    /// [`Scheduler::run_masks_arena`]), cut into consecutive row-groups of
+    /// `group` streams that run one at a time; returns their summed run.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` is zero or `arena` does not hold whole streams.
+    /// Panics if `rows` or `group` is zero or `arena` does not hold whole
+    /// streams.
     #[must_use]
-    pub fn run_masks_arena(&self, arena: &[u64], rows: usize) -> BatchRun {
-        let streams = check_arena(arena, rows);
+    pub fn run_masks_arena(&self, arena: &[u64], rows: usize, group: usize) -> BatchRun {
+        per_group(arena, rows, group, |streams| self.run_group(streams, rows))
+    }
+
+    /// One row-group of [`run_masks_arena`](Self::run_masks_arena).
+    fn run_group(&self, arena: &[u64], rows: usize) -> BatchRun {
+        let streams = arena.len() / rows;
         let lane_mask = self.geometry.lane_mask();
         let mut run = arena_shell(arena, rows, lane_mask);
         let can_pair = self.can_pair();
@@ -421,17 +428,25 @@ impl TstdScheduler {
         (rows.div_ceil(rate) + overflow_rows.div_ceil(rate)).min(rows)
     }
 
-    /// Runs a lockstep row-group with the word-parallel kernel: the
+    /// Runs lockstep row-groups with the word-parallel kernel: the
     /// per-stream decomposition overflow count runs four rows per
     /// word-group stride (`overflow_rows`). Reads `arena.len() / rows`
-    /// streams of `rows` masks each out of a flat arena.
+    /// streams of `rows` masks each out of a flat arena, cut into
+    /// consecutive row-groups of `group` streams that run one at a time;
+    /// returns their summed run.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` is zero or `arena` does not hold whole streams.
+    /// Panics if `rows` or `group` is zero or `arena` does not hold whole
+    /// streams.
     #[must_use]
-    pub fn run_masks_arena(&self, arena: &[u64], rows: usize) -> BatchRun {
-        let streams = check_arena(arena, rows);
+    pub fn run_masks_arena(&self, arena: &[u64], rows: usize, group: usize) -> BatchRun {
+        per_group(arena, rows, group, |streams| self.run_group(streams, rows))
+    }
+
+    /// One row-group of [`run_masks_arena`](Self::run_masks_arena).
+    fn run_group(&self, arena: &[u64], rows: usize) -> BatchRun {
+        let streams = arena.len() / rows;
         let lane_mask = self.geometry.lane_mask();
         let mut run = arena_shell(arena, rows, lane_mask);
         let cycles = (0..streams)
@@ -509,21 +524,22 @@ impl DenseScheduler {
         rows
     }
 
-    /// Runs a lockstep row-group of `arena.len() / rows` streams: `rows`
-    /// cycles, every slot a MAC.
+    /// Runs the consecutive row-groups of `group` streams in an arena of
+    /// `arena.len() / rows` streams: `rows` cycles per group, every slot a
+    /// MAC.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` is zero or `arena` does not hold whole streams.
+    /// Panics if `rows` or `group` is zero or `arena` does not hold whole
+    /// streams.
     #[must_use]
-    pub fn run_masks_arena(&self, arena: &[u64], rows: usize) -> BatchRun {
-        let streams = check_arena(arena, rows) as u64;
-        BatchRun {
+    pub fn run_masks_arena(&self, arena: &[u64], rows: usize, group: usize) -> BatchRun {
+        per_group(arena, rows, group, |streams| BatchRun {
             cycles: self.cycles_for_rows(rows as u64),
             dense_cycles: rows as u64,
-            macs: streams * rows as u64 * self.geometry.lanes() as u64,
+            macs: streams.len() as u64 * self.geometry.lanes() as u64,
             scheduler_steps: 0,
-        }
+        })
     }
 }
 
@@ -587,19 +603,35 @@ impl SparsityScheduler {
         }
     }
 
-    /// Runs one lockstep row-group straight out of a flat mask arena of
-    /// `arena.len() / rows` back-to-back streams.
+    /// Runs the consecutive lockstep row-groups of `group` streams (the
+    /// last may be short) straight out of a flat mask arena of
+    /// `arena.len() / rows` back-to-back streams, and returns their summed
+    /// run. The TensorDash member steps up to four groups in flight per
+    /// call; the others run their one-group loop once per group.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` is zero or `arena` does not hold whole streams.
+    /// Panics if `rows` or `group` is zero or `arena` does not hold whole
+    /// streams.
     #[must_use]
-    pub fn run_masks_arena(&self, arena: &[u64], rows: usize) -> BatchRun {
+    pub fn run_masks_arena(&self, arena: &[u64], rows: usize, group: usize) -> BatchRun {
         match self {
-            SparsityScheduler::TensorDash(s) => s.run_masks_arena(arena, rows),
-            SparsityScheduler::TwoToFour(s) => s.run_masks_arena(arena, rows),
-            SparsityScheduler::Tstd(s) => s.run_masks_arena(arena, rows),
-            SparsityScheduler::Dense(s) => s.run_masks_arena(arena, rows),
+            SparsityScheduler::TensorDash(s) => s.run_masks_arena(arena, rows, group),
+            SparsityScheduler::TwoToFour(s) => s.run_masks_arena(arena, rows, group),
+            SparsityScheduler::Tstd(s) => s.run_masks_arena(arena, rows, group),
+            SparsityScheduler::Dense(s) => s.run_masks_arena(arena, rows, group),
+        }
+    }
+
+    /// How many consecutive row-groups of `group` streams one
+    /// [`run_masks_arena`](Self::run_masks_arena) call steps in flight
+    /// together ([`Scheduler::groups_in_flight`] for the TensorDash
+    /// member; 1 for the others, which run one group at a time).
+    #[must_use]
+    pub fn groups_in_flight(&self, group: usize) -> usize {
+        match self {
+            SparsityScheduler::TensorDash(s) => s.groups_in_flight(group),
+            _ => 1,
         }
     }
 
@@ -650,6 +682,23 @@ fn check_arena(arena: &[u64], rows: usize) -> usize {
         arena.len()
     );
     arena.len() / rows
+}
+
+/// Validates an arena, cuts it into consecutive row-groups of `group`
+/// streams (the last may be short) and sums `run_group` over them.
+fn per_group(
+    arena: &[u64],
+    rows: usize,
+    group: usize,
+    run_group: impl Fn(&[u64]) -> BatchRun,
+) -> BatchRun {
+    let streams = check_arena(arena, rows);
+    assert!(group > 0, "a row-group needs at least one stream");
+    let mut run = BatchRun::default();
+    for chunk in arena.chunks(group.min(streams) * rows) {
+        run += run_group(chunk);
+    }
+    run
 }
 
 /// A [`BatchRun`] with the content-independent fields (dense cycles,
@@ -839,7 +888,7 @@ mod tests {
                     let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
                     let arena: Vec<u64> = streams.iter().flatten().copied().collect();
                     assert_eq!(
-                        scheduler.run_masks_arena(&arena, 97),
+                        scheduler.run_masks_arena(&arena, 97, count),
                         scheduler.run_masks_batched_reference(&refs),
                         "{geometry} x{count} d{density}"
                     );
@@ -861,7 +910,7 @@ mod tests {
                     let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
                     let arena: Vec<u64> = streams.iter().flatten().copied().collect();
                     assert_eq!(
-                        scheduler.run_masks_arena(&arena, 97),
+                        scheduler.run_masks_arena(&arena, 97, count),
                         scheduler.run_masks_batched_reference(&refs),
                         "{geometry} x{count} d{density}"
                     );
@@ -878,8 +927,8 @@ mod tests {
             for density in [0.0, 0.4, 1.0] {
                 let arena: Vec<u64> = random_streams(7, 3, 80, geometry.lanes(), density).concat();
                 for run in [
-                    TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 80),
-                    TstdScheduler::new(geometry).run_masks_arena(&arena, 80),
+                    TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 80, 3),
+                    TstdScheduler::new(geometry).run_masks_arena(&arena, 80, 3),
                 ] {
                     assert!(run.cycles <= run.dense_cycles, "{geometry} d{density}");
                     assert!(
@@ -900,9 +949,9 @@ mod tests {
     fn compliant_data_hits_exactly_two_x() {
         let geometry = PeGeometry::paper();
         let arena = compliant_streams(11, 4, 100, geometry.lanes()).concat();
-        let two_to_four = TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 100);
+        let two_to_four = TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 100, 4);
         assert_eq!(two_to_four.cycles, 50);
-        let tstd = TstdScheduler::new(geometry).run_masks_arena(&arena, 100);
+        let tstd = TstdScheduler::new(geometry).run_masks_arena(&arena, 100, 4);
         assert_eq!(tstd.cycles, 50);
     }
 
@@ -913,7 +962,7 @@ mod tests {
         let geometry = PeGeometry::paper();
         let mut arena = vec![0xFFFFu64; 60];
         arena.extend([0u64; 2 * 60]);
-        let run = TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 60);
+        let run = TwoToFourScheduler::new(geometry).run_masks_arena(&arena, 60, 3);
         assert_eq!(run.cycles, 60);
     }
 
@@ -927,7 +976,7 @@ mod tests {
         let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
         let arena: Vec<u64> = streams.iter().flatten().copied().collect();
         let scheduler = DenseScheduler::new(geometry);
-        let run = scheduler.run_masks_arena(&arena, 50);
+        let run = scheduler.run_masks_arena(&arena, 50, 4);
         assert_eq!(run.cycles, 50);
         assert_eq!(run.dense_cycles, 50);
         assert_eq!(run.macs, 4 * 50 * 16);
@@ -954,8 +1003,8 @@ mod tests {
             let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
             let arena: Vec<u64> = streams.iter().flatten().copied().collect();
             assert_eq!(
-                family.run_masks_arena(&arena, 150),
-                raw.run_masks_arena(&arena, 150)
+                family.run_masks_arena(&arena, 150, 4),
+                raw.run_masks_arena(&arena, 150, 4)
             );
             assert_eq!(
                 family.run_masks_batched_reference(&refs),
@@ -976,7 +1025,7 @@ mod tests {
                 let scheduler = SparsityScheduler::new(kind, geometry);
                 assert_eq!(scheduler.kind(), kind);
                 assert_eq!(scheduler.geometry(), geometry);
-                scheduler.run_masks_arena(&arena, 200).cycles
+                scheduler.run_masks_arena(&arena, 200, 4).cycles
             })
             .collect();
         let (tensordash, two_to_four, tstd, dense) = (cycles[0], cycles[1], cycles[2], cycles[3]);
@@ -994,19 +1043,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole")]
     fn empty_two_to_four_group_is_rejected() {
-        let _ = TwoToFourScheduler::new(PeGeometry::paper()).run_masks_arena(&[], 4);
+        let _ = TwoToFourScheduler::new(PeGeometry::paper()).run_masks_arena(&[], 4, 1);
     }
 
     #[test]
     #[should_panic(expected = "whole")]
     fn ragged_tstd_group_is_rejected() {
         // Nine masks cannot be whole 4-row streams.
-        let _ = TstdScheduler::new(PeGeometry::paper()).run_masks_arena(&[0u64; 9], 4);
+        let _ = TstdScheduler::new(PeGeometry::paper()).run_masks_arena(&[0u64; 9], 4, 1);
     }
 
     #[test]
     #[should_panic(expected = "whole")]
     fn dense_arena_size_mismatch_is_rejected() {
-        let _ = DenseScheduler::new(PeGeometry::paper()).run_masks_arena(&[0u64; 7], 4);
+        let _ = DenseScheduler::new(PeGeometry::paper()).run_masks_arena(&[0u64; 7], 4, 1);
     }
 }

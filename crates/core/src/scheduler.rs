@@ -28,15 +28,17 @@
 //! shape lets one ring rotation decide a whole conflict-free level per
 //! priority, dense rows are consumed in a single word operation, and
 //! [`Scheduler::run_masks_arena`] additionally packs `64 / lanes` staging
-//! windows of a lockstep tile row-group into every `u64`. Since PR 10 the
-//! kernel is also **wide-word**: packed words are consumed in unrolled
-//! `[u64; 4]` word-group strides ([`Scheduler::step_masks4`] is the public
-//! four-window entry; [`Scheduler::step_masks`] is the one-word tail), so
-//! each `(level, priority)` table entry resolves four words of windows per
-//! pass of straight-line register arithmetic. The scalar
-//! per-lane search survives as [`Scheduler::step_masks_reference`] — the
-//! golden model for equivalence tests (same cells consumed, bit for bit,
-//! over random mask streams) and the baseline for the scheduler
+//! windows of a lockstep tile row-group into every `u64`. The kernel is
+//! also **wide-word**: one pass of straight-line register arithmetic
+//! resolves each `(level, priority)` table entry across a `[u64; 4]` word
+//! group. A row-group of at most four packed words leaves room in that
+//! register group, so `run_masks_arena` keeps `4 / words` independent
+//! row-groups of one call **in flight** — four Table 2 groups of 4 PE rows
+//! at 16 lanes — each with its own pending rows, cursor and drain; a
+//! finished group's words load the call's next group. The scalar per-lane
+//! search survives as [`Scheduler::step_masks_reference`] — the golden
+//! model for equivalence tests (same cells consumed, bit for bit, over
+//! random mask streams) and the baseline for the scheduler
 //! microbenchmarks and `tensordash bench`.
 
 use crate::connectivity::{Connectivity, Movement};
@@ -134,6 +136,17 @@ pub struct BatchRun {
     pub scheduler_steps: u64,
 }
 
+impl std::ops::AddAssign for BatchRun {
+    /// Folds another row-group's run into this one: every field is an
+    /// exact count, so the runs of a call's groups sum in any order.
+    fn add_assign(&mut self, other: BatchRun) {
+        self.cycles += other.cycles;
+        self.dense_cycles += other.dense_cycles;
+        self.macs += other.macs;
+        self.scheduler_steps += other.scheduler_steps;
+    }
+}
+
 /// The batched bitmask scheduler. This is the hot structure of the whole
 /// repository — the tile simulator runs it over millions of staging windows.
 ///
@@ -145,9 +158,9 @@ pub struct BatchRun {
 /// per-option search (see [`Scheduler::step_masks`]); the scalar search is
 /// retained as [`Scheduler::step_masks_reference`], the golden model the
 /// equivalence tests and benchmarks compare against. Single streams run
-/// through [`Scheduler::run_masks`]; whole lockstep tile row-groups run
-/// through [`Scheduler::run_masks_arena`], which additionally packs
-/// `64 / lanes` windows into each word.
+/// through [`Scheduler::run_masks`]; lockstep tile row-groups run through
+/// [`Scheduler::run_masks_arena`], which additionally packs `64 / lanes`
+/// windows into each word and steps several row-groups per call.
 ///
 /// # Examples
 ///
@@ -156,13 +169,17 @@ pub struct BatchRun {
 ///
 /// let scheduler = Scheduler::paper(PeGeometry::paper());
 /// // Two 16-lane streams of 30 rows each, back to back in one arena,
-/// // processed in lockstep (a 2-row tile group).
+/// // processed in lockstep (one 2-row tile group).
 /// let mut arena = vec![0x00FF_u64; 30];
 /// arena.extend([0x0F0F_u64; 30]);
-/// let run = scheduler.run_masks_arena(&arena, 30);
+/// let run = scheduler.run_masks_arena(&arena, 30, 2);
 /// assert_eq!(run.dense_cycles, 30);
 /// assert!(run.cycles < 30); // both streams are half sparse
 /// assert_eq!(run.macs, 2 * 30 * 8); // every effectual pair, once
+/// // The same arena as two 1-row groups: their runs summed.
+/// let split = scheduler.run_masks_arena(&arena, 30, 1);
+/// assert_eq!(split.dense_cycles, 2 * 30);
+/// assert_eq!(split.macs, run.macs);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Scheduler {
@@ -416,86 +433,6 @@ impl Scheduler {
         }
     }
 
-    /// Four independent scheduling steps resolved in one call — the
-    /// wide-word kernel.
-    ///
-    /// Each `z[i]` is one staging window under the exact
-    /// [`step_masks`](Scheduler::step_masks) contract, and each returned
-    /// outcome is bit-identical to stepping that window alone. The four
-    /// windows never interact: they are packed subword-style (`64 /
-    /// lanes` windows to a word, exactly as the batched group loop
-    /// stages its streams — a 16-lane PE packs all four into one `u64`),
-    /// the packed word group is stepped with the tiled level/promotion
-    /// masks, and each window's outcome is recovered from its own slot:
-    /// consumed cells only ever clear, so per-window MACs are the slot's
-    /// popcount delta. Every `(level, priority)` table entry thus costs
-    /// one pass of straight-line word arithmetic over the whole group
-    /// instead of four dependent loop trips. Callers with a window count
-    /// that is not a multiple of four step the remainder through
-    /// `step_masks` as the one-word tail.
-    pub fn step_masks4(&self, z: &mut [[u64; MAX_DEPTH]; 4]) -> [StepOutcome; 4] {
-        // Monomorphize the pack/unpack on the slot count: with SLOTS a
-        // constant the `j % SLOTS` / `j / SLOTS` indexing strength-reduces
-        // and the fixed-bound loops unroll, where a runtime divisor costs
-        // a hardware divide per trip — measurably slower than the packed
-        // step itself at 16 lanes.
-        match self.packed_slots.min(4) {
-            4 => self.step_masks4_packed::<4>(z),
-            3 => self.step_masks4_packed::<3>(z),
-            2 => self.step_masks4_packed::<2>(z),
-            _ => self.step_masks4_packed::<1>(z),
-        }
-    }
-
-    fn step_masks4_packed<const SLOTS: usize>(
-        &self,
-        z: &mut [[u64; MAX_DEPTH]; 4],
-    ) -> [StepOutcome; 4] {
-        let lanes = self.geometry.lanes() as u32;
-        let full = self.geometry.lane_mask();
-        let word_count = 4usize.div_ceil(SLOTS);
-
-        let mut words = [[0u64; MAX_DEPTH]; 4];
-        let mut word_full = [0u64; 4];
-        for j in 0..4 {
-            let shift = (j % SLOTS) as u32 * lanes;
-            word_full[j / SLOTS] |= full << shift;
-            for (row, &bits) in words[j / SLOTS].iter_mut().zip(&z[j]) {
-                *row |= (bits & full) << shift;
-            }
-        }
-        let before = words;
-        if word_count == 4 {
-            self.step_words4(&mut words, &word_full);
-        } else {
-            for w in 0..word_count {
-                self.step_word1(&mut words[w], word_full[w]);
-            }
-        }
-
-        let mut out = [StepOutcome {
-            drainable: 0,
-            macs: 0,
-        }; 4];
-        for j in 0..4 {
-            let shift = (j % SLOTS) as u32 * lanes;
-            let mut macs = 0u32;
-            for r in 0..MAX_DEPTH {
-                let slot_after = (words[j / SLOTS][r] >> shift) & full;
-                // Cells only ever clear, so the slot's consumed count is
-                // the popcount of the bits that went away.
-                let cleared = (before[j / SLOTS][r] >> shift) & full & !slot_after;
-                macs += cleared.count_ones();
-                z[j][r] = slot_after;
-            }
-            out[j] = StepOutcome {
-                drainable: self.drainable(&z[j]),
-                macs: macs as usize,
-            };
-        }
-        out
-    }
-
     /// The scalar per-lane, per-option reference search — the pre-batching
     /// implementation of [`Scheduler::step_masks`], retained as the golden
     /// model for the kernel-equivalence tests and the speedup baseline of
@@ -598,117 +535,187 @@ impl Scheduler {
         run
     }
 
-    /// Runs a whole tile row-group of mask streams in lockstep through the
-    /// batched kernel, without per-step engine dispatch.
+    /// Runs lockstep tile row-groups of mask streams through the batched
+    /// kernel, without per-step engine dispatch, and returns their summed
+    /// [`BatchRun`].
     ///
-    /// The group's streams sit back to back in one flat mask **arena**:
-    /// `arena` holds `arena.len() / rows` equal-length streams of `rows`
-    /// masks each (a contiguous span group of a trace), so no per-group
-    /// slice vector is materialized and the kernel's refills walk one
-    /// allocation.
+    /// The streams sit back to back in one flat mask **arena**: `arena`
+    /// holds `arena.len() / rows` equal-length streams of `rows` masks
+    /// each (a contiguous span of a trace), so no per-group slice vector is
+    /// materialized and the kernel's refills walk one allocation. The call
+    /// cuts them into consecutive row-groups of `group` streams (the last
+    /// may be short); a single-group caller passes the stream count.
     ///
-    /// One stream per PE row; all rows share the dense-side staging window,
-    /// so the group advances by the **minimum** drain across streams each
-    /// cycle (§3.3) — a single dense stream throttles the whole group. All
-    /// streams cover the same reduction extent, so their windows share one
-    /// fill level and the loop keeps a single pending/cursor pair for the
-    /// entire group.
+    /// One stream per PE row; all rows of a group share the dense-side
+    /// staging window, so the group advances by the **minimum** drain
+    /// across its streams each cycle (§3.3) — a single dense stream
+    /// throttles the whole group. All streams cover the same reduction
+    /// extent, so a group's windows share one fill level and the loop keeps
+    /// a single pending/cursor pair per group.
     ///
-    /// The group's windows are packed `64 / lanes` to a word (a 16-lane PE
-    /// packs four windows per `u64`), and the words are consumed in
-    /// `[u64; 4]` word-group strides, so each `(level, priority)` table
-    /// entry resolves up to sixteen PE rows with one unrolled pass of
-    /// masked subword rotations (the paper's 16-row tile is exactly one
-    /// word group). Results are bit-identical to driving one [`RowEngine`]
-    /// per stream and min-reducing the outcomes
-    /// ([`Scheduler::run_masks_batched_reference`]) — windows never
-    /// interact except through the shared drain.
+    /// A group's windows are packed `64 / lanes` to a word (a 16-lane PE
+    /// packs four windows per `u64`). While a group takes `w ≤ 4` words,
+    /// `4 / w` groups are stepped in flight through one `[u64; 4]` word
+    /// group — four Table 2 groups of 4 PE rows per pass at 16 lanes — each
+    /// with its own drain; when a group finishes, its words load the next
+    /// one. Wider groups run one at a time in `[u64; 4]` word-group
+    /// strides. Effectual MACs are the popcount of the lane-masked arena:
+    /// row 0 is always cleared and only empty rows drain, so every
+    /// effectual pair is consumed exactly once. Results are bit-identical to
+    /// summing one engine-per-stream run per group
+    /// ([`Scheduler::run_masks_batched_reference`]) — groups never
+    /// interact, and windows of one group only through the shared drain.
     ///
     /// # Panics
     ///
-    /// Panics if `rows` is zero or does not divide `arena.len()`, or if the
-    /// arena is empty.
+    /// Panics if `rows` or `group` is zero, if `rows` does not divide
+    /// `arena.len()`, or if the arena is empty.
     #[must_use]
-    pub fn run_masks_arena(&self, arena: &[u64], rows: usize) -> BatchRun {
+    pub fn run_masks_arena(&self, arena: &[u64], rows: usize, group: usize) -> BatchRun {
         assert!(rows > 0, "arena streams need at least one row");
+        assert!(group > 0, "a row-group needs at least one stream");
         assert!(
             !arena.is_empty() && arena.len().is_multiple_of(rows),
             "arena of {} masks does not hold whole {rows}-row streams",
             arena.len()
         );
         let count = arena.len() / rows;
-        let mut run = BatchRun {
-            dense_cycles: rows as u64,
-            ..BatchRun::default()
+        let group = group.min(count);
+        let packing = Packing {
+            arena,
+            rows,
+            depth: self.geometry.depth(),
+            lanes: self.geometry.lanes() as u32,
+            slots: self.packed_slots,
+            mask: self.geometry.lane_mask(),
         };
-
-        let depth = self.geometry.depth();
-        let lanes = self.geometry.lanes() as u32;
-        let mask = self.geometry.lane_mask();
-        let slots = self.packed_slots;
-        let word_count = count.div_ceil(slots);
-        let mut words: Vec<[u64; MAX_DEPTH]> = vec![[0; MAX_DEPTH]; word_count];
-        // Active-slot mask per word (the last word may be partially filled).
-        let word_full: Vec<u64> = (0..word_count)
-            .map(|wi| {
-                let active = slots.min(count - wi * slots) as u32;
-                (0..active).fold(0u64, |acc, s| acc | (mask << (s * lanes)))
-            })
-            .collect();
-
-        // Initial fill: `depth` rows (or the whole stream if shorter).
-        let mut pending = depth.min(rows);
-        let mut cursor = pending;
-        for j in 0..count {
-            let shift = (j % slots) as u32 * lanes;
-            let start = j * rows;
-            for (row, &bits) in words[j / slots]
-                .iter_mut()
-                .zip(&arena[start..start + pending])
-            {
-                *row |= (bits & mask) << shift;
-            }
+        let (cycles, scheduler_steps) = match group.div_ceil(self.packed_slots) {
+            1 => self.run_in_flight::<1>(&packing, group),
+            2 => self.run_in_flight::<2>(&packing, group),
+            3 | 4 => self.run_in_flight::<4>(&packing, group),
+            _ => (0..count)
+                .step_by(group)
+                .fold((0, 0), |(cycles, steps), first| {
+                    let streams = group.min(count - first);
+                    let run = self.run_wide_group(&packing, first, streams);
+                    (cycles + run, steps + run * streams as u64)
+                }),
+        };
+        BatchRun {
+            cycles,
+            dense_cycles: (rows * count.div_ceil(group)) as u64,
+            macs: arena
+                .iter()
+                .map(|&m| u64::from((m & packing.mask).count_ones()))
+                .sum(),
+            scheduler_steps,
         }
+    }
 
-        while pending > 0 {
-            let (drainable, macs) = self.step_packed(&mut words, &word_full);
-            run.macs += macs;
-            run.scheduler_steps += count as u64;
-            run.cycles += 1;
+    /// How many row-groups of `group` streams one
+    /// [`run_masks_arena`](Scheduler::run_masks_arena) pass steps in
+    /// flight together: `4 / w` for a group of `w ≤ 4` packed words, and
+    /// one group at a time past that. On a 16-lane PE that is 4 groups at
+    /// 1–4 rows, 2 at 5–8 rows and 1 from 9 rows up — the number of
+    /// consecutive groups a caller hands over per call to keep every word
+    /// of the register group busy.
+    #[must_use]
+    pub fn groups_in_flight(&self, group: usize) -> usize {
+        (4 / group.max(1).div_ceil(self.packed_slots)).max(1)
+    }
 
-            let advance = drainable.min(pending);
-            pending -= advance;
-            let refill = (depth - pending).min(rows - cursor);
-            for word in &mut words {
-                word.rotate_left(advance);
-                for row in &mut word[MAX_DEPTH - advance..] {
-                    *row = 0;
+    /// The in-flight loop of [`Scheduler::run_masks_arena`] for row-groups
+    /// of at most `W ≤ 4` packed words: `4 / W` groups share one
+    /// `[u64; 4]` word group, `W` words each, and every step resolves all
+    /// of them at once. Each in-flight group keeps its own pending rows,
+    /// cursor and drain (the leading rows empty in all of *its* words); a
+    /// finished group's words load the call's next group. While fewer
+    /// than four words are live, only those are stepped, one at a time.
+    /// Returns the cycles and scheduler steps summed over the call's
+    /// groups.
+    fn run_in_flight<const W: usize>(&self, packing: &Packing, group: usize) -> (u64, u64) {
+        let in_flight = 4 / W;
+        let count = packing.arena.len() / packing.rows;
+        let fill = packing.depth.min(packing.rows);
+
+        let mut words = [[0u64; MAX_DEPTH]; 4];
+        let mut word_full = [0u64; 4];
+        // Per in-flight group: first stream, stream count (0 = idle),
+        // pending rows and the next row to feed.
+        let mut first = [0usize; 4];
+        let mut streams = [0usize; 4];
+        let mut pending = [0usize; 4];
+        let mut cursor = [0usize; 4];
+        let mut next = 0usize;
+        let (mut cycles, mut steps) = (0u64, 0u64);
+
+        loop {
+            // Every idle slot loads the call's next group. A finished group
+            // has drained all of its rows, so its words are already empty.
+            for g in 0..in_flight {
+                if streams[g] == 0 && next < count {
+                    let n = group.min(count - next);
+                    packing.feed(&mut words[g * W..(g + 1) * W], next, n, 0, 0, fill);
+                    for k in 0..W {
+                        word_full[g * W + k] = packing.word_full(n, k);
+                    }
+                    (first[g], streams[g], pending[g], cursor[g]) = (next, n, fill, fill);
+                    next += n;
                 }
             }
-            if refill == 1 {
-                // Steady state: the group usually drains (and refills) one
-                // row per cycle.
-                for j in 0..count {
-                    let shift = (j % slots) as u32 * lanes;
-                    words[j / slots][pending] |= (arena[j * rows + cursor] & mask) << shift;
-                }
+            if streams.iter().all(|&n| n == 0) {
+                break;
+            }
+
+            if word_full.iter().all(|&full| full != 0) {
+                self.step_words4(&mut words, &word_full);
             } else {
-                for j in 0..count {
-                    let shift = (j % slots) as u32 * lanes;
-                    let word = &mut words[j / slots];
-                    let start = j * rows + cursor;
-                    for (row, &bits) in word[pending..pending + refill]
-                        .iter_mut()
-                        .zip(&arena[start..start + refill])
-                    {
-                        *row |= (bits & mask) << shift;
+                for (word, &full) in words.iter_mut().zip(&word_full) {
+                    if full != 0 {
+                        self.step_word1(word, full);
                     }
                 }
             }
-            pending += refill;
-            cursor += refill;
+            for g in 0..in_flight {
+                let n = streams[g];
+                if n == 0 {
+                    continue;
+                }
+                cycles += 1;
+                steps += n as u64;
+                let slot = &mut words[g * W..(g + 1) * W];
+                if packing.advance(slot, first[g], n, &mut pending[g], &mut cursor[g]) {
+                    streams[g] = 0;
+                    word_full[g * W..(g + 1) * W].fill(0);
+                }
+            }
         }
-        run
+        (cycles, steps)
+    }
+
+    /// One row-group wider than four packed words (more than 16 PE rows at
+    /// 16 lanes), run alone: every step walks its words in `[u64; 4]`
+    /// word-group strides ([`step_packed`](Scheduler::step_packed)).
+    /// Returns the group's cycles.
+    fn run_wide_group(&self, packing: &Packing, first: usize, streams: usize) -> u64 {
+        let word_count = streams.div_ceil(packing.slots);
+        let mut words: Vec<[u64; MAX_DEPTH]> = vec![[0; MAX_DEPTH]; word_count];
+        let word_full: Vec<u64> = (0..word_count)
+            .map(|k| packing.word_full(streams, k))
+            .collect();
+
+        // Initial fill: `depth` rows (or the whole stream if shorter).
+        let mut pending = packing.depth.min(packing.rows);
+        let mut cursor = pending;
+        packing.feed(&mut words, first, streams, 0, 0, pending);
+        let mut cycles = 0;
+        loop {
+            self.step_packed(&mut words, &word_full);
+            cycles += 1;
+            if packing.advance(&mut words, first, streams, &mut pending, &mut cursor) {
+                return cycles;
+            }
+        }
     }
 
     /// The engine-per-stream reference implementation of
@@ -758,59 +765,44 @@ impl Scheduler {
         run
     }
 
-    /// One lockstep scheduling step over packed row-group windows: the
-    /// word list is consumed in `[u64; 4]` **word-group strides** — four
-    /// packed words (4 × `64 / lanes` windows) resolved per
-    /// [`step_words4`](Scheduler::step_words4) pass, with the remaining
+    /// One lockstep scheduling step over a wide row-group's packed
+    /// windows: the word list is consumed in `[u64; 4]` **word-group
+    /// strides** — four packed words (4 × `64 / lanes` windows) resolved
+    /// per [`step_words4`](Scheduler::step_words4) pass, with the remaining
     /// `words.len() % 4` words stepped through the one-word tail
     /// ([`step_word1`](Scheduler::step_word1)). Per window the decisions
     /// are identical to [`Scheduler::step_masks`] — windows are
     /// independent within a step; only the drain is min-synchronized.
-    ///
-    /// Returns the minimum drainable row count across windows (clamped to
-    /// at least 1) and the total MACs issued.
     #[inline]
-    fn step_packed(&self, words: &mut [[u64; MAX_DEPTH]], word_full: &[u64]) -> (usize, u64) {
+    fn step_packed(&self, words: &mut [[u64; MAX_DEPTH]], word_full: &[u64]) {
         debug_assert_eq!(words.len(), word_full.len());
-        let mut macs = 0u64;
         let mut groups = words.chunks_exact_mut(4);
         let mut full_groups = word_full.chunks_exact(4);
         for (group, full) in (&mut groups).zip(&mut full_groups) {
             let group: &mut [[u64; MAX_DEPTH]; 4] = group.try_into().unwrap();
             let full: &[u64; 4] = full.try_into().unwrap();
-            let wide = self.step_words4(group, full);
-            macs += wide[0] + wide[1] + wide[2] + wide[3];
+            self.step_words4(group, full);
         }
         for (word, &full) in groups
             .into_remainder()
             .iter_mut()
             .zip(full_groups.remainder())
         {
-            macs += self.step_word1(word, full);
+            self.step_word1(word, full);
         }
-
-        // The group drains `r` rows only when *every* window's leading `r`
-        // rows are empty — i.e. the leading all-zero packed rows.
-        let depth = self.geometry.depth();
-        let mut min_drain = 0;
-        while min_drain < depth && words.iter().all(|w| w[min_drain] == 0) {
-            min_drain += 1;
-        }
-        (min_drain.max(1), macs)
     }
 
     /// The wide kernel body: one scheduling step over a `[u64; 4]` word
     /// group, all four words resolved in lockstep. Every loop is
     /// fixed-bound (4 words × `MAX_DEPTH` rows) so the per-word state —
     /// dense-unsatisfied lanes, per-level pending sets, above-dense
-    /// snapshots, MAC counts — lives in four-wide register groups and each
+    /// snapshots — lives in four-wide register groups and each
     /// `(level, priority)` table entry is one unrolled pass of word
     /// arithmetic across the group. Decisions are per-window independent
     /// and bit-identical to [`step_word1`](Scheduler::step_word1) on each
-    /// word alone; returns the MACs issued per word.
+    /// word alone; the words may belong to different row-groups.
     #[inline]
-    fn step_words4(&self, words: &mut [[u64; MAX_DEPTH]; 4], word_full: &[u64; 4]) -> [u64; 4] {
-        let mut macs = [0u64; 4];
+    fn step_words4(&self, words: &mut [[u64; MAX_DEPTH]; 4], word_full: &[u64; 4]) {
         let mut unsatisfied = [0u64; 4];
         let mut above = [0u64; 4];
 
@@ -822,14 +814,13 @@ impl Scheduler {
         for i in 0..4 {
             let dense = words[i][0];
             words[i][0] = 0;
-            macs[i] = u64::from(dense.count_ones());
             // Lanes NOT satisfied by their dense cell (per slot).
             unsatisfied[i] = word_full[i] & !dense;
             any_unsatisfied |= unsatisfied[i];
             above[i] = words[i][1..].iter().fold(0, |acc, &row| acc | row);
         }
         if any_unsatisfied == 0 {
-            return macs;
+            return;
         }
 
         let mut pending = [0u64; 4];
@@ -866,7 +857,6 @@ impl Scheduler {
                         let taken = words[i][step] & pending[i];
                         pending[i] &= !taken;
                         words[i][step] &= !taken;
-                        macs[i] += u64::from(taken.count_ones());
                         still_live |= pending[i];
                     }
                 } else {
@@ -877,7 +867,6 @@ impl Scheduler {
                         pending[i] &= !taken;
                         words[i][step] = row
                             & !(((taken << opt.k) & opt.rl_lo) | ((taken >> opt.kc) & opt.rl_hi));
-                        macs[i] += u64::from(taken.count_ones());
                         still_live |= pending[i];
                     }
                 }
@@ -886,21 +875,18 @@ impl Scheduler {
                 }
             }
         }
-        macs
     }
 
-    /// The one-word tail of [`step_packed`](Scheduler::step_packed): one
-    /// scheduling step over a single packed word, semantically the
-    /// `i`-loop bodies of [`step_words4`](Scheduler::step_words4)
-    /// collapsed to one word. Returns the MACs issued.
+    /// The one-word form of [`step_words4`](Scheduler::step_words4): one
+    /// scheduling step over a single packed word, semantically its `i`-loop
+    /// bodies collapsed to one word.
     #[inline]
-    fn step_word1(&self, word: &mut [u64; MAX_DEPTH], full: u64) -> u64 {
+    fn step_word1(&self, word: &mut [u64; MAX_DEPTH], full: u64) {
         let dense = word[0];
         word[0] = 0;
-        let mut macs = u64::from(dense.count_ones());
         let wanting = full & !dense;
         if wanting == 0 {
-            return macs;
+            return;
         }
         let above = word[1..].iter().fold(0, |acc, &row| acc | row);
 
@@ -933,13 +919,107 @@ impl Scheduler {
                 } else {
                     row & !(((taken << opt.k) & opt.rl_lo) | ((taken >> opt.kc) & opt.rl_hi))
                 };
-                macs += u64::from(taken.count_ones());
                 if pending == 0 {
                     break;
                 }
             }
         }
-        macs
+    }
+}
+
+/// Where the streams of one [`Scheduler::run_masks_arena`] call land in
+/// the packed words: stream `j` of a row-group sits in word `j / slots`,
+/// at bit offset `(j % slots) * lanes`.
+#[derive(Clone, Copy)]
+struct Packing<'a> {
+    arena: &'a [u64],
+    rows: usize,
+    depth: usize,
+    lanes: u32,
+    slots: usize,
+    mask: u64,
+}
+
+impl Packing<'_> {
+    /// Ends one cycle of a lockstep group: drops the leading rows empty in
+    /// *every* one of its words (at least one — row 0 is always consumed —
+    /// and at most the rows pending), then refills the window from the
+    /// arena. Returns whether the group has drained all of its rows.
+    #[inline]
+    fn advance(
+        &self,
+        words: &mut [[u64; MAX_DEPTH]],
+        first: usize,
+        streams: usize,
+        pending: &mut usize,
+        cursor: &mut usize,
+    ) -> bool {
+        let mut drain = 0;
+        while drain < self.depth && words.iter().all(|w| w[drain] == 0) {
+            drain += 1;
+        }
+        let advance = drain.max(1).min(*pending);
+        *pending -= advance;
+        let refill = (self.depth - *pending).min(self.rows - *cursor);
+        for word in words.iter_mut() {
+            shift_window(word, advance);
+        }
+        self.feed(words, first, streams, *pending, *cursor, refill);
+        *pending += refill;
+        *cursor += refill;
+        *pending == 0
+    }
+
+    /// ORs rows `cursor..cursor + len` of the `streams` arena streams from
+    /// `first` on into window rows `at..at + len` of a group's `words`.
+    #[inline]
+    fn feed(
+        &self,
+        words: &mut [[u64; MAX_DEPTH]],
+        first: usize,
+        streams: usize,
+        at: usize,
+        cursor: usize,
+        len: usize,
+    ) {
+        let mut src = first * self.rows + cursor;
+        let mut left = streams;
+        for word in words {
+            for s in 0..left.min(self.slots) {
+                let shift = s as u32 * self.lanes;
+                if len == 1 {
+                    // Steady state: a group usually drains (and refills)
+                    // one row per cycle.
+                    word[at] |= (self.arena[src] & self.mask) << shift;
+                } else {
+                    for (row, &bits) in word[at..at + len]
+                        .iter_mut()
+                        .zip(&self.arena[src..src + len])
+                    {
+                        *row |= (bits & self.mask) << shift;
+                    }
+                }
+                src += self.rows;
+            }
+            left = left.saturating_sub(self.slots);
+        }
+    }
+
+    /// The active-slot mask of word `k` of a group of `streams` streams
+    /// (a short group leaves its last word partially filled, or empty).
+    fn word_full(&self, streams: usize, k: usize) -> u64 {
+        let active = streams.saturating_sub(k * self.slots).min(self.slots) as u32;
+        (0..active).fold(0u64, |acc, s| acc | (self.mask << (s * self.lanes)))
+    }
+}
+
+/// Drops a staging window's `advance` leading rows and zero-fills the
+/// tail — a fixed-bound copy the compiler keeps in registers, where
+/// `slice::rotate_left` is an out-of-line call.
+#[inline]
+fn shift_window(word: &mut [u64; MAX_DEPTH], advance: usize) {
+    for r in 0..MAX_DEPTH {
+        word[r] = word.get(r + advance).copied().unwrap_or(0);
     }
 }
 
@@ -1129,7 +1209,7 @@ mod tests {
     #[should_panic(expected = "whole")]
     fn arena_entry_rejects_ragged_arenas() {
         let s = paper_scheduler();
-        let _ = s.run_masks_arena(&[0u64; 10], 3);
+        let _ = s.run_masks_arena(&[0u64; 10], 3, 1);
     }
 
     #[test]
@@ -1234,71 +1314,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_step_matches_single_word_and_reference_across_geometries() {
-        // The wide-word equivalence gate: `step_masks4` must make, for each
-        // of its four windows, exactly the decisions the one-word path (and
-        // therefore the scalar reference) makes — same macs, same drain,
-        // same residual windows — across every lane width we model,
-        // including sustained multi-step drains.
-        use rand::{rngs::StdRng, SeedableRng};
-        let geometries = [
-            PeGeometry::paper(),
-            PeGeometry::paper_shallow(),
-            PeGeometry::walkthrough(),
-            PeGeometry::new(3, 2).unwrap(),
-            PeGeometry::new(7, 3).unwrap(),
-            PeGeometry::new(31, 4).unwrap(),
-            PeGeometry::new(64, 4).unwrap(),
-            PeGeometry::new(16, 1).unwrap(),
-        ];
-        let mut rng = StdRng::seed_from_u64(0x4DA5);
-        for geometry in geometries {
-            let s = Scheduler::paper(geometry);
-            for _ in 0..1_000 {
-                let mut wide = [
-                    random_window(&mut rng, geometry),
-                    random_window(&mut rng, geometry),
-                    random_window(&mut rng, geometry),
-                    random_window(&mut rng, geometry),
-                ];
-                let mut narrow = wide;
-                for _ in 0..geometry.depth() {
-                    let outcomes = s.step_masks4(&mut wide);
-                    for i in 0..4 {
-                        let solo = s.step_masks(&mut narrow[i]);
-                        assert_eq!(wide[i], narrow[i], "window {i} diverged on {geometry}");
-                        assert_eq!(outcomes[i], solo, "outcome {i} diverged on {geometry}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn wide_step_matches_on_custom_connectivity() {
-        use rand::{rngs::StdRng, SeedableRng};
-        let spec = ConnectivitySpec::custom(vec![(2, 5), (1, 2), (1, -1), (2, -7)]).unwrap();
-        let geometry = PeGeometry::new(24, 3).unwrap();
-        let s = Scheduler::new(&Connectivity::from_spec(geometry, &spec));
-        let mut rng = StdRng::seed_from_u64(0xC0_24);
-        for _ in 0..1_000 {
-            let mut wide = [
-                random_window(&mut rng, geometry),
-                random_window(&mut rng, geometry),
-                random_window(&mut rng, geometry),
-                random_window(&mut rng, geometry),
-            ];
-            let mut reference = wide;
-            let outcomes = s.step_masks4(&mut wide);
-            for i in 0..4 {
-                let r = s.step_masks_reference(&mut reference[i]);
-                assert_eq!(wide[i], reference[i], "window {i}");
-                assert_eq!(outcomes[i], r, "outcome {i}");
-            }
-        }
-    }
-
-    #[test]
     fn batched_kernel_matches_reference_on_custom_connectivity() {
         use rand::{rngs::StdRng, SeedableRng};
         let spec = ConnectivitySpec::custom(vec![(2, 5), (1, 2), (1, -1), (2, -7)]).unwrap();
@@ -1317,12 +1332,17 @@ mod tests {
 
     #[test]
     fn batched_group_run_matches_reference_engines() {
-        // The group path (`run_masks_arena` -> `step_packed`) against the
-        // engine-per-stream golden model at every geometry the repository
-        // models. Stream counts hit one stream, a partial packed word, one
-        // full word, exactly one `[u64; 4]` word group, and a group plus a
-        // one-word tail; lengths hit a single row, a few window fills and
-        // a long run.
+        // The arena face (`run_masks_arena` -> the in-flight loop, or the
+        // wide loop past four words) against the engine-per-stream golden
+        // model summed over the call's row-groups, at every geometry the
+        // repository models. One-group calls hit one stream, a partial
+        // packed word, one full word, exactly one `[u64; 4]` word group
+        // and a word group plus a one-word tail, at every density level.
+        // Multi-group calls add group widths of a word plus one stream and
+        // two words, and group counts of one group, all groups in flight,
+        // and groups reloading into finished words, each call with a short
+        // last group. Lengths hit a single row, a few window fills and a
+        // long run.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let spec = ConnectivitySpec::custom(vec![(2, 5), (1, 2), (1, -1), (2, -7)]).unwrap();
         let mut schedulers: Vec<Scheduler> = [
@@ -1343,36 +1363,70 @@ mod tests {
             &spec,
         )));
         let mut rng = StdRng::seed_from_u64(0xBA7C);
-        // Density levels: empty, ~1/8, ~1/2, ~7/8, full, and (level 5) a
-        // group whose streams each draw one of the three partial levels.
-        let mut mask = |level: u32| {
-            let (a, b, c): (u64, u64, u64) = (rng.gen(), rng.gen(), rng.gen());
-            match level {
-                0 => 0,
-                1 => a & b & c,
-                2 => a,
-                3 => a | b | c,
-                _ => u64::MAX,
-            }
+        // Density levels: empty, ~1/8, ~1/2, ~7/8, full; level 5 gives
+        // each stream one of the three partial levels, and level 6 gives
+        // each group one of the first five, so the groups of one call
+        // finish at different cycles.
+        let mut make_arena = |count: usize, width: usize, rows: usize, level: u32| -> Vec<u64> {
+            (0..count)
+                .flat_map(|j| {
+                    let stream_level = match level {
+                        5 => 1 + j as u32 % 3,
+                        6 => (j / width) as u32 % 5,
+                        level => level,
+                    };
+                    (0..rows)
+                        .map(|_| {
+                            let (a, b, c): (u64, u64, u64) = (rng.gen(), rng.gen(), rng.gen());
+                            match stream_level {
+                                0 => 0,
+                                1 => a & b & c,
+                                2 => a,
+                                3 => a | b | c,
+                                _ => u64::MAX,
+                            }
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect()
         };
-        for s in &schedulers {
+        for (si, s) in schedulers.iter().enumerate() {
             let geometry = s.geometry();
             let slots = (64 / geometry.lanes()).max(1);
+            // One group per call, every density level on every shape.
             for count in [1, 3, slots, 4 * slots, 4 * slots + 1] {
                 for rows in [1usize, 17, 257] {
                     for level in 0..6u32 {
-                        let arena: Vec<u64> = (0..count)
-                            .flat_map(|j| {
-                                let stream_level =
-                                    if level == 5 { 1 + j as u32 % 3 } else { level };
-                                (0..rows).map(|_| mask(stream_level)).collect::<Vec<_>>()
-                            })
-                            .collect();
+                        let arena = make_arena(count, count, rows, level);
                         let refs: Vec<&[u64]> = arena.chunks(rows).collect();
                         assert_eq!(
-                            s.run_masks_arena(&arena, rows),
+                            s.run_masks_arena(&arena, rows, count),
                             s.run_masks_batched_reference(&refs),
                             "{geometry} count {count} rows {rows} level {level}"
+                        );
+                    }
+                }
+            }
+            // Several groups per call. The level rotates along a diagonal
+            // of the geometry, width, group-count and length indices, so
+            // every (width, rows) pair meets all seven levels across the
+            // geometries.
+            let widths = [1, 3, slots, slots + 1, 2 * slots, 4 * slots, 4 * slots + 1];
+            for (wi, width) in widths.into_iter().enumerate() {
+                for (gi, groups) in [1usize, 2, 4, 5, 9].into_iter().enumerate() {
+                    let count = width * (groups - 1) + width.div_ceil(2);
+                    for (ri, rows) in [1usize, 17, 257].into_iter().enumerate() {
+                        let level = ((si + wi + gi + ri) % 7) as u32;
+                        let arena = make_arena(count, width, rows, level);
+                        let mut expected = BatchRun::default();
+                        for group in arena.chunks(width * rows) {
+                            let refs: Vec<&[u64]> = group.chunks(rows).collect();
+                            expected += s.run_masks_batched_reference(&refs);
+                        }
+                        assert_eq!(
+                            s.run_masks_arena(&arena, rows, width),
+                            expected,
+                            "{geometry} width {width} groups {groups} rows {rows} level {level}"
                         );
                     }
                 }
@@ -1385,7 +1439,7 @@ mod tests {
         let s = paper_scheduler();
         let stream: Vec<u64> = (0..1_000).map(|i| (i * 2654435761u64) & 0xFFFF).collect();
         let solo = s.run_masks(stream.iter().copied());
-        let batched = s.run_masks_arena(&stream, stream.len());
+        let batched = s.run_masks_arena(&stream, stream.len(), 1);
         assert_eq!(batched.cycles, solo.cycles);
         assert_eq!(batched.dense_cycles, solo.dense_cycles);
         assert_eq!(batched.macs, solo.macs);

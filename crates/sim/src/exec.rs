@@ -8,19 +8,23 @@
 //! schedule) repeats identically across passes, so sampled group cycles
 //! multiply by the pass count.
 //!
-//! Each sampled window group is handed to the tile as one
-//! [`Tile::run_group_arena`] call straight out of the trace's mask arena,
-//! which executes the whole lockstep loop inside the batched scheduler
-//! kernel
-//! ([`Scheduler::run_masks_arena`](tensordash_core::Scheduler::run_masks_arena))
-//! — the dominant cost of every simulation, with no per-cycle dispatch.
+//! The sampled window groups are handed to the tile in **bundles** of as
+//! many consecutive tile row-groups as the kernel steps in flight
+//! ([`SparsityScheduler::groups_in_flight`](tensordash_core::SparsityScheduler::groups_in_flight)
+//! for the tile's rows: four at 1–4 tile rows on the 16-lane PE, two at 8,
+//! one at 16), each one [`Tile::run_group_arena`] call straight out of
+//! the trace's mask arena. The call executes the whole lockstep loop
+//! inside the batched scheduler kernel
+//! ([`Scheduler::run_masks_arena`](tensordash_core::Scheduler::run_masks_arena)),
+//! which steps a bundle's row-groups in flight together — the dominant
+//! cost of every simulation, with no per-cycle dispatch.
 //!
 //! The sampled region of one operation is additionally exposed as a
-//! `SampledPlan`: a list of per-tile-row-group chunks the batch
-//! simulator shards across its work-stealing pool, so a single big
-//! (transformer-shaped) operation parallelizes *within* one model run.
-//! Chunk aggregates are exact `u64` sums, so the input-ordered reduction
-//! is byte-identical to this module's serial loop at any thread count.
+//! `SampledPlan`: its list of bundles is what the batch simulator shards
+//! across its work-stealing pool, so a single big (transformer-shaped)
+//! operation parallelizes *within* one model run. Bundle aggregates are
+//! exact `u64` sums, so the input-ordered reduction is byte-identical to
+//! running every row-group on its own, at any thread count.
 
 use crate::config::ChipConfig;
 use crate::counters::SimCounters;
@@ -80,9 +84,10 @@ pub(crate) fn finish_pair(
 
 /// Aggregates of the bit-exact sampled tile runs. Every field is an exact
 /// `u64` sum over tile row-groups, so partial aggregates from disjoint
-/// chunks merge associatively — the intra-run parallel path reduces chunk
-/// partials in input order and the result is byte-identical to the serial
-/// loop at any thread count.
+/// bundles merge associatively — the intra-run parallel path reduces
+/// bundle partials in input order and the result is byte-identical to the
+/// serial loop at any thread count. `groups` counts row-groups, not
+/// bundles: [`finish`] scales the sampled cycles by it.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Sampled {
     td_cycles: u64,
@@ -93,7 +98,7 @@ pub(crate) struct Sampled {
 }
 
 impl Sampled {
-    /// Folds another chunk's aggregates into this one.
+    /// Folds another bundle's aggregates into this one.
     pub(crate) fn absorb(&mut self, other: &Sampled) {
         self.td_cycles += other.td_cycles;
         self.dense_cycles += other.dense_cycles;
@@ -103,19 +108,23 @@ impl Sampled {
     }
 }
 
-/// The validated sampled region of one operation, split into per-tile-
-/// row-group work items: chunk `c` is the `c`-th `tile.rows`-window group
-/// of the trace arena, exactly the slices the serial loop feeds
-/// [`Tile::run_group_arena`]. The batch simulator shards one *(layer,
-/// op)*'s chunks across its work-stealing pool; running every chunk in
-/// order and merging with [`Sampled::absorb`] reproduces the serial run
-/// bit for bit.
+/// The validated sampled region of one operation, split into work items:
+/// bundle `b` is the `b`-th run of `bundle_groups` consecutive
+/// `tile.rows`-window groups of the trace arena (the last bundle, and its
+/// last group, may be short), fed to [`Tile::run_group_arena`] as one
+/// call, so the kernel steps a bundle's groups in flight together. The
+/// batch simulator shards one *(layer, op)*'s bundles across its
+/// work-stealing pool; running every bundle in order and merging with
+/// [`Sampled::absorb`] reproduces the serial run bit for bit.
 pub(crate) struct SampledPlan<'a> {
     arena: &'a [u64],
     windows: usize,
     rows: usize,
-    /// Windows per tile row-group (the chip's tile row count).
+    /// Windows per tile row-group (the tile's row count).
     group_windows: usize,
+    /// Row-groups per bundle: as many as the tile's scheduler steps in
+    /// flight per call.
+    bundle_groups: usize,
 }
 
 impl<'a> SampledPlan<'a> {
@@ -123,12 +132,12 @@ impl<'a> SampledPlan<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the trace's lane count differs from the chip's PE width,
+    /// Panics if the trace's lane count differs from the tile's PE width,
     /// or if the trace has no sampled windows.
-    pub(crate) fn new(chip: &ChipConfig, trace: &'a OpTrace) -> Self {
+    pub(crate) fn new(tile: &Tile, trace: &'a OpTrace) -> Self {
         assert_eq!(
             trace.lanes,
-            chip.tile.pe.lanes(),
+            tile.config().pe.lanes(),
             "trace was packed for a different PE width"
         );
         assert!(!trace.is_empty(), "trace has no sampled windows");
@@ -139,21 +148,26 @@ impl<'a> SampledPlan<'a> {
             arena: trace.arena_masks(),
             windows: trace.num_windows(),
             rows,
-            group_windows: chip.tile.rows,
+            group_windows: tile.config().rows,
+            bundle_groups: tile.scheduler().groups_in_flight(tile.config().rows),
         }
     }
 
-    /// Number of tile row-group chunks (work items) this operation splits
-    /// into — at least one.
-    pub(crate) fn chunks(&self) -> usize {
-        self.windows.div_ceil(self.group_windows)
+    /// Number of bundles (work items) this operation splits into — at
+    /// least one.
+    pub(crate) fn bundles(&self) -> usize {
+        self.windows
+            .div_ceil(self.group_windows)
+            .div_ceil(self.bundle_groups)
     }
 
-    /// Runs chunk `chunk` — one tile row-group, consumed straight out of
-    /// the trace's flat mask arena with no per-group slice vector.
-    pub(crate) fn run_chunk(&self, tile: &Tile, chunk: usize) -> Sampled {
-        let start = chunk * self.group_windows;
-        let count = self.group_windows.min(self.windows - start);
+    /// Runs bundle `bundle` — up to `bundle_groups` tile row-groups in
+    /// one tile call, consumed straight out of the trace's flat mask arena
+    /// with no per-group slice vector.
+    pub(crate) fn run_bundle(&self, tile: &Tile, bundle: usize) -> Sampled {
+        let span = self.bundle_groups * self.group_windows;
+        let start = bundle * span;
+        let count = span.min(self.windows - start);
         let run = tile.run_group_arena(
             &self.arena[start * self.rows..(start + count) * self.rows],
             count,
@@ -164,17 +178,42 @@ impl<'a> SampledPlan<'a> {
             dense_cycles: run.dense_cycles,
             macs_per_column: run.macs_per_column,
             scheduler_steps: run.scheduler_steps,
-            groups: 1,
+            groups: count.div_ceil(self.group_windows) as u64,
         }
     }
 }
 
-/// Runs every chunk of the operation's sampled region in order.
-pub(crate) fn run_sampled(chip: &ChipConfig, tile: &Tile, trace: &OpTrace) -> Sampled {
-    let plan = SampledPlan::new(chip, trace);
+/// Runs every bundle of the operation's sampled region in order.
+pub(crate) fn run_sampled(tile: &Tile, trace: &OpTrace) -> Sampled {
+    let plan = SampledPlan::new(tile, trace);
     let mut sampled = Sampled::default();
-    for chunk in 0..plan.chunks() {
-        sampled.absorb(&plan.run_chunk(tile, chunk));
+    for bundle in 0..plan.bundles() {
+        sampled.absorb(&plan.run_bundle(tile, bundle));
+    }
+    sampled
+}
+
+/// The serial per-group loop: every tile row-group of the sampled region
+/// in its own tile call — the reference the bundled paths reduce to.
+#[cfg(test)]
+pub(crate) fn run_sampled_per_group(tile: &Tile, trace: &OpTrace) -> Sampled {
+    let plan = SampledPlan::new(tile, trace);
+    let mut sampled = Sampled::default();
+    for g in 0..plan.windows.div_ceil(plan.group_windows) {
+        let start = g * plan.group_windows;
+        let count = plan.group_windows.min(plan.windows - start);
+        let run = tile.run_group_arena(
+            &plan.arena[start * plan.rows..(start + count) * plan.rows],
+            count,
+            plan.rows,
+        );
+        sampled.absorb(&Sampled {
+            td_cycles: run.cycles,
+            dense_cycles: run.dense_cycles,
+            macs_per_column: run.macs_per_column,
+            scheduler_steps: run.scheduler_steps,
+            groups: 1,
+        });
     }
     sampled
 }
@@ -292,7 +331,9 @@ pub(crate) fn finish(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::TileConfig;
     use crate::session::Simulator;
+    use tensordash_core::SchedulerKind;
     use tensordash_trace::{ConvDims, SampleSpec, SparsityGen, UniformSparsity};
 
     /// Every exec test drives the session API.
@@ -414,6 +455,44 @@ mod tests {
         let td = simulate(&chip, &t, ExecMode::TensorDash);
         let base = simulate(&chip, &t, ExecMode::Baseline);
         assert!(td.compute_cycles < base.compute_cycles);
+    }
+
+    /// A bundle holds as many row-groups as the tile's kernel steps in
+    /// flight: on the 16-lane PE, four groups (4 windows) at 1 tile row,
+    /// four (16) at 4 rows, two (16) at 8 rows and one (16) at 16 rows;
+    /// a member that runs one group at a time gets one group per bundle.
+    #[test]
+    fn bundles_hold_the_groups_in_flight() {
+        let dims = ConvDims::conv_square(4, 64, 14, 64, 3, 1, 1);
+        let op = UniformSparsity::new(0.6).op_trace(
+            dims,
+            TrainingOp::Forward,
+            16,
+            &SampleSpec::new(48, 128),
+            3,
+        );
+        let td = SchedulerKind::TensorDash;
+        for (kind, rows, bundles) in [
+            (td, 1, 12),
+            (td, 2, 6),
+            (td, 3, 4),
+            (td, 4, 3),
+            (td, 5, 5),
+            (td, 8, 3),
+            (td, 9, 6),
+            (td, 16, 3),
+            (SchedulerKind::TwoToFour, 4, 12),
+        ] {
+            let tile = Tile::with_scheduler(
+                TileConfig {
+                    rows,
+                    ..ChipConfig::paper().tile
+                },
+                kind,
+            );
+            let plan = SampledPlan::new(&tile, &op);
+            assert_eq!(plan.bundles(), bundles, "{kind} at {rows} rows");
+        }
     }
 
     #[test]

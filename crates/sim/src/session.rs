@@ -4,7 +4,10 @@
 //!
 //! [`Simulator::simulate_batch`] is the one batch path: it takes a
 //! [`CancelToken`], and [`Simulator::simulate_model`] is its unbounded
-//! wrapper.
+//! wrapper. Its work items are *(layer, op, bundle)* triples, a bundle
+//! being the consecutive tile row-groups of one operation that the
+//! scheduler kernel steps in flight together in one tile call (up to
+//! four; [`SparsityScheduler::groups_in_flight`](tensordash_core::SparsityScheduler::groups_in_flight)).
 
 use crate::config::ChipConfig;
 use crate::exec::{self, ExecMode, OpSim};
@@ -17,9 +20,10 @@ use tensordash_trace::OpTrace;
 
 /// A cooperative cancellation signal for long simulations: an explicit
 /// flag, an optional wall-clock deadline, or both. Workers consult it at
-/// *(layer, op, tile row-group chunk)* work-item boundaries — a fired
-/// token stops a batch before its next item, never mid-item, so partial
-/// results are simply discarded and nothing half-built escapes.
+/// *(layer, op, bundle)* work-item boundaries — a fired token stops a
+/// batch before its next item, never mid-item (a bundle is up to four
+/// tile row-groups in one kernel call), so partial results are simply
+/// discarded and nothing half-built escapes.
 ///
 /// Clones share the flag: cancelling any clone cancels them all.
 #[derive(Debug, Clone, Default)]
@@ -163,7 +167,7 @@ impl Simulator {
     /// or if the trace has no sampled windows.
     #[must_use]
     pub fn simulate(&self, trace: &OpTrace, mode: ExecMode) -> OpSim {
-        let sampled = exec::run_sampled(&self.chip, &self.tile, trace);
+        let sampled = exec::run_sampled(&self.tile, trace);
         exec::finish(&self.chip, &self.tile, trace, mode, &sampled)
     }
 
@@ -175,7 +179,7 @@ impl Simulator {
     /// As [`simulate`](Simulator::simulate).
     #[must_use]
     pub fn simulate_pair(&self, trace: &OpTrace) -> (OpSim, OpSim) {
-        let sampled = exec::run_sampled(&self.chip, &self.tile, trace);
+        let sampled = exec::run_sampled(&self.tile, trace);
         exec::finish_pair(&self.chip, &self.tile, trace, &sampled)
     }
 
@@ -200,20 +204,23 @@ impl Simulator {
     /// per group in input order.
     ///
     /// Scheduling is **work-stealing with intra-run sharding**: every
-    /// *(group, operation, tile row-group chunk)* triple is one work item,
-    /// and workers claim items off a shared atomic index as they finish.
-    /// A batch of many small layers balances exactly as before, and a
-    /// *single* big operation (one transformer-MLP matmul) also shards
-    /// across every thread instead of pinning one worker — the chunks are
-    /// the same contiguous arena row-groups the serial loop feeds
-    /// [`Tile::run_group_arena`](crate::Tile::run_group_arena).
+    /// *(group, operation, bundle)* triple is one work item, and workers
+    /// claim items off a shared atomic index as they finish. A bundle is
+    /// as many consecutive tile row-groups of the operation's arena as the
+    /// kernel steps in flight (up to four;
+    /// [`SparsityScheduler::groups_in_flight`](tensordash_core::SparsityScheduler::groups_in_flight)),
+    /// priced by one [`Tile::run_group_arena`] call that steps them in
+    /// flight together. A batch of many small
+    /// layers balances exactly as before, and a *single* big operation
+    /// (one transformer-MLP matmul) also shards across every thread
+    /// instead of pinning one worker.
     ///
-    /// The reduction-order contract: each chunk's aggregates land in their
-    /// own pre-allocated slot, and after the pool joins they are merged
-    /// per operation in input (chunk) order before the full-op scaling
-    /// runs once. Every merged field is an exact `u64` sum, so reports
-    /// are bit-identical to a sequential run and always in input order,
-    /// whatever the thread count (see
+    /// The reduction-order contract: each bundle's aggregates land in
+    /// their own pre-allocated slot, and after the pool joins they are
+    /// merged per operation in input (bundle) order before the full-op
+    /// scaling runs once. Every merged field is an exact `u64` sum, so
+    /// reports are bit-identical to pricing every row-group on its own
+    /// and always in input order, whatever the thread count (see
     /// [`with_threads`](Simulator::with_threads)).
     ///
     /// `cancel` is consulted before each work item is claimed. A fired
@@ -238,13 +245,13 @@ impl Simulator {
         cancel: &CancelToken,
     ) -> Result<Vec<LayerReport>, Cancelled> {
         // One validated plan per (group, op) and one pre-allocated slot
-        // per (group, op, chunk): workers write disjoint slots, the
+        // per (group, op, bundle): workers write disjoint slots, the
         // reduction below reads them in input order.
         let plans: Vec<Vec<exec::SampledPlan>> = groups
             .iter()
             .map(|(_, ops)| {
                 ops.iter()
-                    .map(|trace| exec::SampledPlan::new(&self.chip, trace))
+                    .map(|trace| exec::SampledPlan::new(&self.tile, trace))
                     .collect()
             })
             .collect();
@@ -252,7 +259,7 @@ impl Simulator {
             .iter()
             .map(|ops| {
                 ops.iter()
-                    .map(|plan| (0..plan.chunks()).map(|_| OnceLock::new()).collect())
+                    .map(|plan| (0..plan.bundles()).map(|_| OnceLock::new()).collect())
                     .collect()
             })
             .collect();
@@ -262,14 +269,14 @@ impl Simulator {
             .flat_map(|(g, ops)| {
                 ops.iter()
                     .enumerate()
-                    .flat_map(move |(o, plan)| (0..plan.chunks()).map(move |c| (g, o, c)))
+                    .flat_map(move |(o, plan)| (0..plan.bundles()).map(move |b| (g, o, b)))
             })
             .collect();
 
         let workers = self.threads.min(items.len());
-        let run_item = |&(g, o, c): &(usize, usize, usize)| {
-            let sampled = plans[g][o].run_chunk(&self.tile, c);
-            slots[g][o][c]
+        let run_item = |&(g, o, b): &(usize, usize, usize)| {
+            let sampled = plans[g][o].run_bundle(&self.tile, b);
+            slots[g][o][b]
                 .set(sampled)
                 .expect("each work item is claimed exactly once");
         };
@@ -297,16 +304,16 @@ impl Simulator {
             });
         }
 
-        // The deterministic reduction: per (group, op), merge chunk
+        // The deterministic reduction: per (group, op), merge bundle
         // partials in input order (exact u64 sums), then run the full-op
         // scaling once over the merged aggregates — byte-identical to the
         // serial loop at any thread count.
         let mut layers = Vec::with_capacity(groups.len());
         for ((label, traces), row) in groups.iter().zip(slots) {
             let mut ops = Vec::with_capacity(row.len());
-            for (trace, chunk_slots) in traces.iter().zip(row) {
+            for (trace, bundle_slots) in traces.iter().zip(row) {
                 let mut merged = exec::Sampled::default();
-                for slot in chunk_slots {
+                for slot in bundle_slots {
                     // An unfilled slot means a worker bailed at the
                     // boundary: the batch is incomplete and must not
                     // pretend otherwise.
@@ -415,36 +422,57 @@ mod tests {
         assert_eq!(reference[1].ops.len(), 0, "empty group keeps its slot");
     }
 
-    /// One big operation must shard into several tile row-group chunks
-    /// (the intra-run parallelism path) and still reduce to the same
-    /// bytes as the fully sequential per-op entry point at every thread
-    /// count — the chunked reduction is exact `u64` sums, not floats.
+    /// One big operation must shard into several bundles of tile
+    /// row-groups (the intra-run parallelism path) and still reduce to the
+    /// same bytes as the serial per-group loop at every thread count — the
+    /// bundled reduction is exact `u64` sums, not floats. The second
+    /// operation's last row-group is short (37 windows on 4 tile rows) and
+    /// its 10 groups are not a multiple of the bundle size.
     #[test]
     fn intra_run_sharding_is_thread_count_invariant() {
         let sim = Simulator::paper();
         let dims = ConvDims::conv_square(4, 64, 14, 64, 3, 1, 1);
-        let op = UniformSparsity::new(0.6).op_trace(
-            dims,
-            TrainingOp::Forward,
-            16,
-            &SampleSpec::new(64, 128),
-            0x51AB,
-        );
-        let plan = exec::SampledPlan::new(sim.chip(), &op);
-        assert!(
-            plan.chunks() >= 4,
-            "the single op must split into multiple work items ({} chunks)",
-            plan.chunks()
-        );
-        let ops = [op];
-        let groups: Vec<(&str, &[OpTrace])> = vec![("mlp", &ops)];
-        let sequential = vec![LayerReport {
-            label: "mlp".to_string(),
-            ops: vec![sim.aggregate(&ops[0])],
-        }];
-        for threads in [1, 2, 8] {
-            let got = batch(&sim.clone().with_threads(threads), &groups);
-            assert_eq!(got, sequential, "{threads} workers diverged");
+        for (windows, bundles, seed) in [(64, 4, 0x51AB), (37, 3, 0x7A11)] {
+            let op = UniformSparsity::new(0.6).op_trace(
+                dims,
+                TrainingOp::Forward,
+                16,
+                &SampleSpec::new(windows, 128),
+                seed,
+            );
+            assert_eq!(op.num_windows(), windows);
+            let plan = exec::SampledPlan::new(&sim.tile, &op);
+            assert_eq!(
+                plan.bundles(),
+                bundles,
+                "the single op must split into multiple work items"
+            );
+            let sampled = exec::run_sampled_per_group(&sim.tile, &op);
+            let (tensordash, baseline) = exec::finish_pair(sim.chip(), &sim.tile, &op, &sampled);
+            let per_group = vec![LayerReport {
+                label: "mlp".to_string(),
+                ops: vec![OpAggregate {
+                    op: op.op,
+                    tensordash,
+                    baseline,
+                }],
+            }];
+            let ops = [op];
+            assert_eq!(
+                vec![LayerReport {
+                    label: "mlp".to_string(),
+                    ops: vec![sim.aggregate(&ops[0])],
+                }],
+                per_group
+            );
+            let groups: Vec<(&str, &[OpTrace])> = vec![("mlp", &ops)];
+            for threads in [1, 2, 8] {
+                let got = batch(&sim.clone().with_threads(threads), &groups);
+                assert_eq!(
+                    got, per_group,
+                    "{windows} windows: {threads} workers diverged"
+                );
+            }
         }
     }
 

@@ -11,21 +11,23 @@
 //!
 //! The whole lockstep loop executes inside
 //! [`SparsityScheduler::run_masks_arena`]: one [`Tile::run_group_arena`]
-//! call per window group — for the default TensorDash member, bit-exact
-//! with (and much faster than) driving one
-//! [`RowEngine`](tensordash_core::RowEngine) per row step by step.
+//! call covers one or more consecutive row-groups of the tile's rows — for
+//! the default TensorDash member, bit-exact with (and much faster than)
+//! driving one [`RowEngine`](tensordash_core::RowEngine) per row step by
+//! step, and stepping up to four row-groups in flight per kernel pass.
 //! [`Tile::with_scheduler`] swaps in any other member of the scheduler
 //! family over the same mask windows.
 
 use crate::config::TileConfig;
 use tensordash_core::{BatchRun, DenseScheduler, SchedulerKind, SparsityScheduler};
 
-/// Result of streaming one window group through a tile.
+/// Result of streaming window row-groups through a tile, summed over the
+/// groups.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupRun {
     /// Cycles the tile's scheduler needed.
     pub cycles: u64,
-    /// Cycles the dense baseline needs (= stream rows).
+    /// Cycles the dense baseline needs (= stream rows per group).
     pub dense_cycles: u64,
     /// Effectual MACs issued per PE column (multiply by active columns for
     /// tile-wide MACs).
@@ -93,30 +95,27 @@ impl Tile {
         &self.scheduler
     }
 
-    /// Streams one group of `windows` scheduled-side mask streams (one per
-    /// row, at most `rows` of the tile) through the tile in lockstep.
+    /// Streams `windows` scheduled-side mask streams through the tile in
+    /// lockstep row-groups of the tile's rows, one stream per row.
     ///
     /// The streams sit back to back in a flat mask arena (a contiguous
-    /// span group of an [`OpTrace`](tensordash_trace::OpTrace)), `rows`
-    /// masks each: they are windows of the same operation and cover the
-    /// same reduction extent. Every row schedules independently; the tile
-    /// advances by the minimum drain because the dense-side window is
-    /// shared. The whole lockstep loop runs inside the scheduler's arena
-    /// kernel — one call per group, no per-step engine dispatch and no
-    /// per-group slice vector. Zero-row streams give a zero run.
+    /// span of an [`OpTrace`](tensordash_trace::OpTrace)), `rows` masks
+    /// each: they are windows of the same operation and cover the same
+    /// reduction extent. Every row schedules independently; a group
+    /// advances by the minimum drain of its rows because the dense-side
+    /// window is shared. At most the tile's row count of `windows` is one
+    /// group; more is consecutive row-groups of the tile's rows (the last
+    /// may be short), and the result is their sum. The whole lockstep loop
+    /// runs inside the scheduler's arena kernel — no per-step engine
+    /// dispatch and no per-group slice vector. Zero-row streams give a
+    /// zero run.
     ///
     /// # Panics
     ///
-    /// Panics if `windows` is zero or exceeds the row count, or if
-    /// `arena.len() != windows * rows`.
+    /// Panics if `windows` is zero or `arena.len() != windows * rows`.
     #[must_use]
     pub fn run_group_arena(&self, arena: &[u64], windows: usize, rows: usize) -> GroupRun {
         assert!(windows > 0, "a window group needs at least one stream");
-        assert!(
-            windows <= self.config.rows,
-            "group of {windows} streams exceeds {} tile rows",
-            self.config.rows
-        );
         assert_eq!(
             arena.len(),
             windows * rows,
@@ -125,7 +124,8 @@ impl Tile {
         let run = if rows == 0 {
             BatchRun::default()
         } else {
-            self.scheduler.run_masks_arena(arena, rows)
+            self.scheduler
+                .run_masks_arena(arena, rows, self.config.rows)
         };
         GroupRun {
             cycles: run.cycles,
@@ -351,10 +351,42 @@ mod tests {
         let _ = t.run_group_arena(&[0u64; 7], 2, 4);
     }
 
+    /// A call of more windows than the tile has rows is consecutive
+    /// row-groups of the tile's rows, the last one short: it equals the
+    /// sum of one call per group, at every family member.
     #[test]
-    #[should_panic(expected = "exceeds")]
-    fn oversized_group_is_rejected() {
-        let t = tile(2);
-        let _ = t.run_group_arena(&[0u64; 30], 3, 10);
+    fn oversized_call_equals_the_sum_of_its_groups() {
+        let streams: Vec<Vec<u64>> = (0..11).map(|i| random_stream(70 + i, 97, 0.4)).collect();
+        let arena = streams.concat();
+        for kind in SchedulerKind::ALL {
+            for rows in [1usize, 2, 4, 8] {
+                let t = Tile::with_scheduler(
+                    TileConfig {
+                        rows,
+                        cols: 4,
+                        pe: PeGeometry::paper(),
+                    },
+                    kind,
+                );
+                let mut expected = GroupRun {
+                    cycles: 0,
+                    dense_cycles: 0,
+                    macs_per_column: 0,
+                    scheduler_steps: 0,
+                };
+                for group in streams.chunks(rows) {
+                    let part = run(&t, group);
+                    expected.cycles += part.cycles;
+                    expected.dense_cycles += part.dense_cycles;
+                    expected.macs_per_column += part.macs_per_column;
+                    expected.scheduler_steps += part.scheduler_steps;
+                }
+                assert_eq!(
+                    t.run_group_arena(&arena, 11, 97),
+                    expected,
+                    "{kind} at {rows} rows"
+                );
+            }
+        }
     }
 }
