@@ -228,7 +228,7 @@ timeout 5 tail --pid="$chaos_pid" -f /dev/null \
 wait "$chaos_pid" || { echo "chaos serve did not exit cleanly after SIGTERM"; exit 1; }
 grep -q "shut down cleanly" "$chaos_log"
 
-step "tensordash bench --smoke --baseline BENCH_12.json"
+step "tensordash bench --smoke --baseline BENCH_13.json"
 bench_report="$(mktemp -t tensordash-bench-XXXXXX.json)"
 trap 'kill "$serve_pid" "$chaos_pid" 2>/dev/null || true; rm -f "$smoke_config" "$smoke_report" "$serve_log" "$chaos_log" "$bench_report"; rm -rf "$train_dir" "$chaos_dir"' EXIT
 # The committed baseline gates kernel + source + store + service
@@ -239,19 +239,22 @@ trap 'kill "$serve_pid" "$chaos_pid" 2>/dev/null || true; rm -f "$smoke_config" 
 # stream length; the loadtest-driven service rate fires the same
 # per-request workload in both variants, so it gates cross-variant like
 # the kernel rates, at a wider >50% tolerance — end-to-end socket
-# loadtests swing ±25% run-to-run). The baseline's absolute rates
-# reflect the machine that committed it — on substantially slower
-# hardware, regenerate it with `tensordash bench --out BENCH_12.json`
-# rather than loosening the gate.
-./target/release/tensordash bench --smoke --baseline BENCH_12.json --out "$bench_report"
+# loadtests swing ±25% run-to-run). Every leg reports its fastest sample
+# over a 20 s round-robin wall, longer than a busy host's speed regimes,
+# so an unchanged tree passes whatever regime the run starts in. The
+# baseline's absolute rates reflect the machine that committed it — on
+# substantially slower hardware, commit a fresh full `tensordash bench`
+# run as the next BENCH_<n>.json rather than loosening the gate.
+./target/release/tensordash bench --smoke --baseline BENCH_13.json --out "$bench_report"
 grep -q '"step_speedup"' "$bench_report"
 grep -q '"nproc"' "$bench_report"
 # Four row-groups in flight per kernel call must beat one group per
 # call on the same streams, so a silent fallback to one group in flight
-# fails here. The margin holds on the release build (1.4-2.2x over 24
-# runs on a 2-core x86-64 host, where one group in flight reads
-# 0.8-1.1x) but not in the debug profile `cargo test` uses (0.85-1.03x),
-# so the bench smoke test only checks that both legs are measured.
+# fails here. The margin holds on the release build (1.53-2.20x over 20
+# smoke runs on a 2-core x86-64 host, 2.04 or more in all but one, where
+# one group in flight reads 0.8-1.1x) but not in the debug profile
+# `cargo test` uses (0.85-1.03x), so the bench smoke test only checks
+# that both legs are measured.
 grep -q '"group_masks_per_sec_one_group"' "$bench_report"
 in_flight="$(sed -n 's/.*"in_flight_speedup": *\([0-9.eE+-]*\).*/\1/p' "$bench_report")"
 awk -v r="$in_flight" 'BEGIN { exit !(r >= 1.25) }' \

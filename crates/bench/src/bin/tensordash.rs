@@ -352,9 +352,12 @@ fn run_bench(args: &[String]) -> Result<(), String> {
         summary.service.latency_ms_p99
     );
     println!(
-        "total {:.2}s on {} cores  -> wrote {}",
+        "total {:.2}s on {} cores{}  -> wrote {}",
         summary.total_wall_seconds,
         summary.nproc,
+        summary
+            .steal_ticks
+            .map_or(String::new(), |t| format!(", {t} steal ticks")),
         path.display()
     );
 

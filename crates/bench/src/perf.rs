@@ -38,31 +38,40 @@
 //!   leg: completed experiments per second and p50/p99 submit→report
 //!   latency.
 //!
-//! Every wall/throughput metric is the **best of N** samples (after an
-//! untimed process warm-up): on shared hardware, co-tenant interference
-//! and frequency ramps only ever add time, so the minimum is the
-//! observation closest to the code's true cost and the estimator least
-//! likely to fail the `--baseline` gate on noise while still catching
-//! real regressions. `BENCH_2.json` predates this and recorded one
-//! first-call sample per model.
+//! Every wall/throughput metric comes from one round-robin sampler. Each
+//! section builds its workload and registers its timed legs, a closure
+//! plus the units of work one call does. The sampler calibrates each leg
+//! once so that a timed sample clears a ~10 ms floor, then runs every leg
+//! once per round, in registration order, until a fixed wall has passed,
+//! and keeps each leg's fastest sample. A shared host's speed moves in
+//! regimes lasting seconds, and interference only ever adds time: a
+//! best-of taken within one second of a run reads the regime, while one
+//! taken across a wall longer than a regime reads the code.
 //!
-//! `tensordash bench --smoke` runs a seconds-scale variant of the same
-//! measurements for CI, and `tensordash bench --baseline BENCH_<n>.json`
+//! `tensordash bench --smoke` runs the same legs over smaller workloads
+//! for CI, and `tensordash bench --baseline BENCH_<n>.json`
 //! diffs the run against a committed baseline, failing on throughput
 //! regressions (see [`diff_against_baseline`]).
 
 use crate::harness::{ModelEval, TraceCache};
 use crate::train::{capture_training, TrainOptions};
 use rand::{rngs::StdRng, Rng, SeedableRng};
+use std::cell::RefCell;
+use std::hint::black_box;
 use std::path::PathBuf;
+use std::rc::Rc;
 use std::time::Instant;
-use tensordash_core::{PeGeometry, Scheduler, SchedulerKind, SparsityScheduler, MAX_DEPTH};
+use tensordash_core::{
+    PeGeometry, Scheduler, SchedulerKind, SparsityScheduler, StepOutcome, MAX_DEPTH,
+};
 use tensordash_models::paper_models;
 use tensordash_serde::{Serialize, Value};
 use tensordash_sim::{ChipConfig, EvalSpec, Simulator};
 use tensordash_tensor::Tensor;
 use tensordash_trace::{
-    extract_op_trace, extract_op_trace_reference, ConvDims, LayerTensors, SampleSpec, TrainingOp,
+    extract_op_trace, extract_op_trace_reference, ClusteredSparsity, ConvDims, LayerTensors,
+    OpTrace, RecordedSource, SampleSpec, SparsityGen, TraceRecording, TraceRequest, TraceSource,
+    TrainingOp,
 };
 
 /// How `tensordash bench` should run.
@@ -202,9 +211,9 @@ pub struct StoreBench {
 pub struct ModelBench {
     /// Zoo model name.
     pub name: String,
-    /// Wall-clock seconds for a full evaluation (best of 3, cold traces).
+    /// Wall-clock seconds per full evaluation, cold traces.
     pub wall_seconds: f64,
-    /// Wall-clock seconds with the trace cache warm (best of 3).
+    /// Wall-clock seconds per evaluation with the trace cache warm.
     pub wall_seconds_cached: f64,
     /// Simulated TensorDash compute cycles (scaled to the full model).
     pub cycles_simulated: u64,
@@ -223,9 +232,9 @@ pub struct ModelBench {
 pub struct ShardingBench {
     /// The model measured (`ViT-L-MLP`).
     pub model: String,
-    /// Best-of-N wall seconds with one worker thread.
+    /// Wall seconds per evaluation with one worker thread.
     pub wall_seconds_1_thread: f64,
-    /// Best-of-N wall seconds with eight worker threads.
+    /// Wall seconds per evaluation with eight worker threads.
     pub wall_seconds_8_threads: f64,
 }
 
@@ -246,9 +255,9 @@ pub struct ServiceBench {
     pub requests: usize,
     /// Concurrent load-generator clients.
     pub concurrency: usize,
-    /// Completed experiments per second (best of the measured passes).
+    /// Completed experiments per second (the fastest loadtest pass).
     pub requests_per_sec: f64,
-    /// Median submit→report latency, milliseconds.
+    /// Median submit→report latency of that pass, milliseconds.
     pub latency_ms_p50: f64,
     /// 90th-percentile submit→report latency, milliseconds — the tail
     /// metric the loadtest reports and the baseline gate watches (p99 is
@@ -262,7 +271,7 @@ pub struct ServiceBench {
     /// visibly different from one that did not.
     pub retries: u64,
     /// Handler panics the server isolated during the run (`0` in a
-    /// fault-free bench — the assertion lives in [`bench_service`]).
+    /// fault-free bench — the bench asserts it).
     pub handler_panics: u64,
     /// Jobs that hit a deadline during the run (`0`: the bench sets none).
     pub jobs_timed_out: u64,
@@ -281,6 +290,11 @@ pub struct BenchSummary {
     /// Logical CPUs this process could run on (what `nproc` prints). Rates
     /// from two BENCH files only compare directly at equal counts.
     pub nproc: usize,
+    /// Clock ticks of CPU the hypervisor stole from this host during the
+    /// run (the 8th number of `/proc/stat`'s `cpu` line, read before and
+    /// after); `None` where that file cannot be read. Recorded, not gated:
+    /// the service tail latency tracks it.
+    pub steal_ticks: Option<u64>,
     /// Scheduler-kernel measurements.
     pub kernel: KernelBench,
     /// Scheduler-family comparison (one entry per member, same workload).
@@ -475,10 +489,15 @@ impl BenchSummary {
                 Value::Float(self.sharding.parallel_speedup()),
             ),
         ]);
-        Value::Table(vec![
+        let mut doc = vec![
             ("schema".into(), Value::Str(BENCH_SCHEMA.into())),
             ("smoke".into(), Value::Bool(self.smoke)),
             ("nproc".into(), self.nproc.serialize()),
+        ];
+        if let Some(ticks) = self.steal_ticks {
+            doc.push(("steal_ticks".into(), ticks.serialize()));
+        }
+        doc.extend([
             ("kernel".into(), kernel),
             ("schedulers".into(), schedulers),
             ("trace".into(), trace),
@@ -491,7 +510,8 @@ impl BenchSummary {
                 "total_wall_seconds".into(),
                 Value::Float(self.total_wall_seconds),
             ),
-        ])
+        ]);
+        Value::Table(doc)
     }
 }
 
@@ -533,107 +553,80 @@ pub fn next_bench_path_in(dir: &std::path::Path) -> PathBuf {
     dir.join(format!("BENCH_{next}.json"))
 }
 
-/// Spins real scheduler work untimed until the core leaves its idle
-/// frequency state (~0.3 s): the first measured samples of a cold process
-/// otherwise read 20-25% slow and poison cross-run baselines.
-fn warm_up() {
-    let scheduler = Scheduler::paper(PeGeometry::paper());
-    let start = Instant::now();
-    let mut z = [0x5A5Au64; MAX_DEPTH];
-    while start.elapsed().as_secs_f64() < 0.3 {
-        for _ in 0..1024 {
-            let mut w = z;
-            z[0] = z[0].rotate_left(1) ^ scheduler.step_masks(&mut w).macs as u64;
-        }
+/// How long the sampler cycles through the legs: longer than the speed
+/// regimes of a busy host (10–20 s on the 2-core reference host), so each
+/// leg's fastest sample lands in a fast one. Debug builds run one round:
+/// their rates gate nothing.
+const SAMPLE_WALL: f64 = if cfg!(debug_assertions) { 0.0 } else { 20.0 };
+
+/// The round-robin sampler behind every timed metric (see the module
+/// doc). Each leg owns its workload, so a section registers its legs and
+/// returns before any of them runs.
+#[derive(Default)]
+struct Sampler {
+    legs: Vec<(f64, Box<dyn FnMut()>)>,
+}
+
+impl Sampler {
+    /// Registers a leg that does `units` of work per call, and returns its
+    /// index into [`Sampler::run`]'s rates.
+    fn leg(&mut self, units: f64, routine: impl FnMut() + 'static) -> usize {
+        self.legs.push((units, Box::new(routine)));
+        self.legs.len() - 1
     }
-    std::hint::black_box(z);
-}
 
-/// Best (minimum) wall-clock seconds of `samples` runs — the noise-robust
-/// estimator behind every *throughput* metric the `--baseline` gate
-/// compares: scheduler-frequency ramps and co-tenant interference only
-/// ever add time, so the minimum is the closest observation to the code's
-/// true cost.
-fn best_seconds(samples: usize, mut routine: impl FnMut()) -> f64 {
-    sample_seconds(samples, &mut routine)
-        .into_iter()
-        .min_by(f64::total_cmp)
-        .expect("at least one sample")
-}
-
-fn sample_seconds(samples: usize, routine: &mut impl FnMut()) -> Vec<f64> {
-    (0..samples.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            routine();
-            start.elapsed().as_secs_f64()
-        })
-        .collect()
-}
-
-/// Best-sample rate with a minimum-wall floor: repeats `routine` enough
-/// times per timed sample that the measured wall clears ~10 ms, so cheap
-/// routines (the structured members finish a smoke row-group in
-/// microseconds) report a real rate instead of dividing by timer jitter.
-/// Returns `units_per_call * repeats / best_seconds`.
-fn floored_rate(samples: usize, units_per_call: f64, mut routine: impl FnMut()) -> f64 {
-    let repeats = floor_repeats(&mut routine);
-    let seconds = best_seconds(samples, || {
-        for _ in 0..repeats {
-            routine();
-        }
-    });
-    units_per_call * repeats as f64 / seconds
-}
-
-/// As [`floored_rate`] for two routines over the same work, with their
-/// timed samples interleaved: a change in the host's speed during the
-/// measurement lands on both, so their ratio reads the code rather than
-/// the moment.
-fn paired_floored_rates(
-    samples: usize,
-    units_per_call: f64,
-    mut a: impl FnMut(),
-    mut b: impl FnMut(),
-) -> (f64, f64) {
-    let (repeats_a, repeats_b) = (floor_repeats(&mut a), floor_repeats(&mut b));
-    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..samples.max(1) {
-        for (routine, repeats, best) in [
-            (&mut a as &mut dyn FnMut(), repeats_a, &mut best_a),
-            (&mut b, repeats_b, &mut best_b),
-        ] {
-            let start = Instant::now();
-            for _ in 0..repeats {
-                routine();
+    /// Calibrates each leg to the floor, then times one sample of every leg
+    /// per round, in registration order, until `wall` seconds of `now`
+    /// have passed (one round at least). Returns each leg's units per
+    /// second at its fastest sample.
+    fn run(mut self, wall: f64, now: impl Fn() -> f64) -> Vec<f64> {
+        // Cheap routines repeat until a sample's wall clears ~10 ms, so they
+        // report a real rate instead of dividing by timer jitter.
+        const FLOOR: f64 = 0.01;
+        let time = |routine: &mut Box<dyn FnMut()>, calls: usize| {
+            let start = now();
+            (0..calls).for_each(|_| routine());
+            now() - start
+        };
+        let calls: Vec<usize> = self
+            .legs
+            .iter_mut()
+            .map(|(_, routine)| {
+                let mut n = 1usize;
+                loop {
+                    let elapsed = time(routine, n);
+                    if elapsed >= FLOOR {
+                        return n;
+                    }
+                    // Overshoot the floor 2x so calibration settles in a step or two.
+                    let scale = (FLOOR / elapsed.max(1e-9) * 2.0).ceil() as usize;
+                    n = n.saturating_mul(scale.max(2));
+                }
+            })
+            .collect();
+        let mut best = vec![f64::INFINITY; self.legs.len()];
+        let start = now();
+        loop {
+            for (((_, routine), &n), best) in self.legs.iter_mut().zip(&calls).zip(&mut best) {
+                *best = best.min(time(routine, n) / n as f64);
             }
-            *best = best.min(start.elapsed().as_secs_f64());
+            if now() - start >= wall {
+                break;
+            }
         }
+        self.legs
+            .iter()
+            .zip(best)
+            .map(|((units, _), seconds)| units / seconds)
+            .collect()
     }
-    (
-        units_per_call * repeats_a as f64 / best_a,
-        units_per_call * repeats_b as f64 / best_b,
-    )
 }
 
-/// How many calls of `routine` one timed sample needs for its wall to
-/// clear the ~10 ms floor.
-fn floor_repeats(routine: &mut impl FnMut()) -> usize {
-    const MIN_WALL: f64 = 0.01;
-    let mut repeats = 1usize;
-    loop {
-        let start = Instant::now();
-        for _ in 0..repeats {
-            routine();
-        }
-        let elapsed = start.elapsed().as_secs_f64();
-        if elapsed >= MIN_WALL {
-            return repeats;
-        }
-        // Overshoot the floor 2x so the probe settles in a step or two.
-        let scale = (MIN_WALL / elapsed.max(1e-9) * 2.0).ceil() as usize;
-        repeats = repeats.saturating_mul(scale.max(2));
-    }
+/// The host's CPU steal so far, in clock ticks: the 8th number of
+/// `/proc/stat`'s `cpu` line, or `None` where that cannot be read.
+fn steal_ticks() -> Option<u64> {
+    let stat = std::fs::read_to_string("/proc/stat").ok()?;
+    stat.lines().next()?.split_whitespace().nth(8)?.parse().ok()
 }
 
 fn random_masks(seed: u64, rows: usize, density: f64) -> Vec<u64> {
@@ -656,31 +649,21 @@ fn random_masks(seed: u64, rows: usize, density: f64) -> Vec<u64> {
 /// across variants.
 const KERNEL_GROUP_ROWS: usize = 2048;
 
-/// Measures the scheduler kernel: single-window steps and whole row-groups,
-/// batched vs reference, over a fixed mixed-density workload.
-#[must_use]
-pub fn bench_kernel(smoke: bool) -> KernelBench {
+/// Registers the scheduler kernel's legs, single-window steps and whole
+/// row-groups, batched vs reference, over a fixed mixed-density workload;
+/// the returned closure reads their rates.
+fn bench_kernel(sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> KernelBench {
     let scheduler = Scheduler::paper(PeGeometry::paper());
-    // 512 windows x 32 bytes stay L1-resident: the measurement targets the
-    // kernel's compute, not the memory streaming of synthetic inputs.
-    let windows_per_density = 512;
-    // The step rates gate cross-variant against a full-run baseline, so
-    // the smoke variant may not trim passes-per-sample (timing 4 passes
-    // put ~25% of cold-start into every sample) nor sample count too far
-    // (best-of-3 with 16 passes read a steady ~0.83x of the full rate on
-    // a throttling host). Smoke trims only the sample count, gently.
-    let (passes, samples) = if smoke { (32, 5) } else { (32, 9) };
-
-    // One batch of staging windows per density level: windows of one
-    // operation share a sparsity level, so density-homogeneous batches are
-    // the representative workload shape.
+    // One step leg per density level, over 512 staging windows: windows
+    // of one operation share a sparsity level, so density-homogeneous
+    // batches are the representative workload shape, and 512 windows x 32
+    // bytes stay L1-resident, so the legs time the kernel's compute, not
+    // the memory streaming of synthetic inputs.
     let mut rng = StdRng::seed_from_u64(0xDA5A);
-    let densities = [0.1, 0.35, 0.6, 0.9];
-    let mut batched = 0.0;
-    let mut reference = 0.0;
-    for density in densities {
-        let windows: Vec<[u64; MAX_DEPTH]> = (0..windows_per_density)
-            .map(|_| {
+    let batches: Vec<Rc<Vec<[u64; MAX_DEPTH]>>> = [0.1, 0.35, 0.6, 0.9]
+        .into_iter()
+        .map(|density| {
+            let windows = (0..512).map(|_| {
                 let mut z = [0u64; MAX_DEPTH];
                 for row in z.iter_mut().take(3) {
                     let mut mask = 0u64;
@@ -692,64 +675,70 @@ pub fn bench_kernel(smoke: bool) -> KernelBench {
                     *row = mask;
                 }
                 z
+            });
+            Rc::new(windows.collect())
+        })
+        .collect();
+    let mut step_legs = |step: fn(&Scheduler, &mut [u64; MAX_DEPTH]) -> StepOutcome| {
+        let legs = batches.iter().map(|batch| {
+            let (scheduler, batch) = (scheduler.clone(), Rc::clone(batch));
+            sampler.leg(batch.len() as f64, move || {
+                let macs: usize = batch
+                    .iter()
+                    .map(|w| step(&scheduler, &mut { *w }).macs)
+                    .sum();
+                black_box(macs);
             })
-            .collect();
-        batched += best_seconds(samples, || {
-            let mut total = 0u64;
-            for _ in 0..passes {
-                for window in &windows {
-                    let mut z = *window;
-                    total += scheduler.step_masks(&mut z).macs as u64;
-                }
-            }
-            std::hint::black_box(total);
         });
-        reference += best_seconds(samples, || {
-            let mut total = 0u64;
-            for _ in 0..passes {
-                for window in &windows {
-                    let mut z = *window;
-                    total += scheduler.step_masks_reference(&mut z).macs as u64;
-                }
-            }
-            std::hint::black_box(total);
-        });
-    }
-    let window_count = windows_per_density * passes * densities.len();
+        legs.collect::<Vec<_>>()
+    };
+    let step_batched = step_legs(Scheduler::step_masks);
+    let step_reference = step_legs(Scheduler::step_masks_reference);
 
     // Whole row-groups: four Table 2 groups of 4 streams (the paper
     // tile's rows), back to back in one arena as the simulator feeds a
     // bundle. The headline leg steps all four in flight in one call; the
-    // one-group leg prices the same streams a group per call.
+    // one-group leg prices the same streams a group per call. The two legs
+    // are adjacent, so every round times them back to back: a change in
+    // the host's speed lands on both, and their ratio reads the code.
     let rows = KERNEL_GROUP_ROWS;
     let streams = group_streams(4, rows);
-    let arena = streams.concat();
-    let group_masks = arena.len() as f64;
-    let (group_batched, group_one) = paired_floored_rates(
-        samples,
-        group_masks,
-        || {
-            std::hint::black_box(scheduler.run_masks_arena(&arena, rows, 4));
-        },
-        || {
+    let arena = Rc::new(streams.concat());
+    let masks = arena.len() as f64;
+    let group_batched = sampler.leg(masks, {
+        let (scheduler, arena) = (scheduler.clone(), Rc::clone(&arena));
+        move || {
+            black_box(scheduler.run_masks_arena(&arena, rows, 4));
+        }
+    });
+    let group_one = sampler.leg(masks, {
+        let scheduler = scheduler.clone();
+        move || {
             for group in arena.chunks(4 * rows) {
-                std::hint::black_box(scheduler.run_masks_arena(group, rows, 4));
+                black_box(scheduler.run_masks_arena(group, rows, 4));
             }
-        },
-    );
-    let refs: Vec<&[u64]> = streams.iter().map(Vec::as_slice).collect();
-    let group_reference = floored_rate(samples, group_masks, || {
-        for group in refs.chunks(4) {
-            std::hint::black_box(scheduler.run_masks_batched_reference(group));
+        }
+    });
+    let group_reference = sampler.leg(masks, move || {
+        for group in streams.chunks(4) {
+            let group: Vec<&[u64]> = group.iter().map(Vec::as_slice).collect();
+            black_box(scheduler.run_masks_batched_reference(&group));
         }
     });
 
-    KernelBench {
-        steps_per_sec_batched: window_count as f64 / batched,
-        steps_per_sec_reference: window_count as f64 / reference,
-        group_masks_per_sec_batched: group_batched,
-        group_masks_per_sec_one_group: group_one,
-        group_masks_per_sec_reference: group_reference,
+    move |rate| {
+        // Equal windows per level: the step rate is their count over the
+        // levels' summed seconds.
+        let steps = |legs: Vec<usize>| {
+            legs.len() as f64 / legs.iter().map(|&leg| 1.0 / rate[leg]).sum::<f64>()
+        };
+        KernelBench {
+            steps_per_sec_batched: steps(step_batched),
+            steps_per_sec_reference: steps(step_reference),
+            group_masks_per_sec_batched: rate[group_batched],
+            group_masks_per_sec_one_group: rate[group_one],
+            group_masks_per_sec_reference: rate[group_reference],
+        }
     }
 }
 
@@ -767,38 +756,46 @@ fn group_streams(groups: u64, stream_rows: usize) -> Vec<Vec<u64>> {
         .collect()
 }
 
-/// Measures every member of the scheduler family over one fixed
+/// Registers one leg per scheduler family member over one fixed
 /// row-group workload: the kernel group legs' first row-group of 4
 /// mixed-density streams, in one arena, run through each member's batched
-/// kernel. Each rate is measured with `floored_rate`'s minimum-wall
-/// discipline, so the cheap structured members report commensurable
-/// masks/s instead of timer jitter; `dense` is not timed at all (its run
-/// is arithmetic on the group's shape). The modeled speedups are
-/// deterministic (same seeds every run) and double as a results sanity
+/// kernel. The sampler's floor lets the cheap structured members report
+/// commensurable masks/s instead of timer jitter; `dense` is not timed at
+/// all (its run is arithmetic on the group's shape). The modeled speedups
+/// are deterministic (same seeds every run) and double as a results sanity
 /// check: `dense` must read exactly 1.0 and `tensordash` must beat the
 /// 2×-capped structured members at these densities.
-#[must_use]
-pub fn bench_schedulers(smoke: bool) -> Vec<SchedulerBench> {
-    let samples = if smoke { 5 } else { 9 };
+fn bench_schedulers(
+    smoke: bool,
+    sampler: &mut Sampler,
+) -> impl FnOnce(&[f64]) -> Vec<SchedulerBench> {
     let stream_rows = if smoke { 512 } else { 16_384 };
-    let arena = group_streams(1, stream_rows).concat();
-    SchedulerKind::ALL
+    let arena = Rc::new(group_streams(1, stream_rows).concat());
+    let members: Vec<_> = SchedulerKind::ALL
         .iter()
         .map(|&kind| {
             let scheduler = SparsityScheduler::new(kind, PeGeometry::paper());
             let run = scheduler.run_masks_arena(&arena, stream_rows, 4);
-            let rate = (kind != SchedulerKind::Dense).then(|| {
-                floored_rate(samples, arena.len() as f64, || {
-                    std::hint::black_box(scheduler.run_masks_arena(&arena, stream_rows, 4));
+            let modeled_speedup = run.dense_cycles as f64 / run.cycles.max(1) as f64;
+            let arena = Rc::clone(&arena);
+            let leg = (kind != SchedulerKind::Dense).then(|| {
+                sampler.leg(arena.len() as f64, move || {
+                    black_box(scheduler.run_masks_arena(&arena, stream_rows, 4));
                 })
             });
-            SchedulerBench {
-                name: kind.name().to_string(),
-                group_masks_per_sec: rate,
-                modeled_speedup: run.dense_cycles as f64 / run.cycles.max(1) as f64,
-            }
+            (kind, leg, modeled_speedup)
         })
-        .collect()
+        .collect();
+    move |rate| {
+        members
+            .into_iter()
+            .map(|(kind, leg, modeled_speedup)| SchedulerBench {
+                name: kind.name().to_string(),
+                group_masks_per_sec: leg.map(|leg| rate[leg]),
+                modeled_speedup,
+            })
+            .collect()
+    }
 }
 
 /// The fixed extraction workload: one realistically-sized conv layer's
@@ -826,59 +823,51 @@ fn extraction_workload(smoke: bool) -> (ConvDims, Tensor, Tensor, Tensor) {
     (d, a, w, g)
 }
 
-/// Measures the trace pipeline: full-layer extraction (every window of all
-/// three training ops) through the bitmap path vs the per-element
-/// reference, synthetic arena generation, and the warm-cache evaluation
-/// speedup.
-#[must_use]
-pub fn bench_trace(smoke: bool) -> TraceBench {
-    let samples = if smoke { 3 } else { 7 };
+/// Registers the trace pipeline's legs: full-layer extraction (every
+/// window of all three training ops) through the bitmap path vs the
+/// per-element reference, synthetic arena generation, and model
+/// evaluation with cold and warm traces.
+fn bench_trace(smoke: bool, sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> TraceBench {
     let (d, a, w, g) = extraction_workload(smoke);
-    let tensors = LayerTensors {
-        dims: d,
-        activations: &a,
-        weights: &w,
-        grad_out: &g,
-        output_nonzero: None,
-    };
+    let layer = Rc::new((a, w, g));
     // Every window of the operation, full stream depth: the overlap between
     // adjacent conv windows is the point of the bitmap path.
     let sample = SampleSpec::new(usize::MAX >> 1, usize::MAX >> 1);
-    let masks_per_pass: usize = TrainingOp::ALL
-        .iter()
-        .map(|&op| {
-            extract_op_trace(&tensors, op, 16, &sample)
-                .arena_masks()
-                .len()
-        })
-        .sum();
-    let bitmap = best_seconds(samples, || {
-        for op in TrainingOp::ALL {
-            std::hint::black_box(extract_op_trace(&tensors, op, 16, &sample));
+    let extraction = |extract: fn(&LayerTensors<'_>, TrainingOp, usize, &SampleSpec) -> OpTrace| {
+        let layer = Rc::clone(&layer);
+        move || {
+            let (a, w, g) = &*layer;
+            let tensors = LayerTensors {
+                dims: d,
+                activations: a,
+                weights: w,
+                grad_out: g,
+                output_nonzero: None,
+            };
+            TrainingOp::ALL.map(|op| extract(&tensors, op, 16, &sample))
         }
+    };
+    let bitmap = extraction(extract_op_trace);
+    let masks_per_pass: usize = bitmap().iter().map(|t| t.arena_masks().len()).sum();
+    let bitmap = sampler.leg(masks_per_pass as f64, move || {
+        black_box(bitmap());
     });
-    let reference = best_seconds(samples, || {
-        for op in TrainingOp::ALL {
-            std::hint::black_box(extract_op_trace_reference(&tensors, op, 16, &sample));
-        }
+    let reference = extraction(extract_op_trace_reference);
+    let reference = sampler.leg(masks_per_pass as f64, move || {
+        black_box(reference());
     });
 
     // Synthetic generation throughput over the same geometry.
-    use tensordash_trace::{ClusteredSparsity, SparsityGen};
     let gen = ClusteredSparsity::new(0.55, 0.3);
     let gen_sample = SampleSpec::new(64, 512);
-    let gen_masks = gen
-        .op_trace(d, TrainingOp::Forward, 16, &gen_sample, 1)
-        .arena_masks()
-        .len();
-    let synthetic = best_seconds(samples, || {
-        std::hint::black_box(gen.op_trace(d, TrainingOp::Forward, 16, &gen_sample, 1));
+    let gen_trace = move || gen.op_trace(d, TrainingOp::Forward, 16, &gen_sample, 1);
+    let synthetic = sampler.leg(gen_trace().arena_masks().len() as f64, move || {
+        black_box(gen_trace());
     });
 
     // Warm-cache evaluation: what the second chip of a sweep pays.
     let sim = Simulator::new(ChipConfig::paper());
-    let zoo = paper_models();
-    let model = &zoo[0]; // AlexNet
+    let model = paper_models().swap_remove(0); // AlexNet
     let spec = EvalSpec::builder()
         .streams(8, 64)
         .progress(0.45)
@@ -886,37 +875,32 @@ pub fn bench_trace(smoke: bool) -> TraceBench {
         .build()
         .expect("valid cache-bench spec");
     let cache = TraceCache::new();
-    let _ = sim.eval_model_cached(model, &spec, &cache, &model.name); // fill
-    let cold = best_seconds(samples, || {
-        std::hint::black_box(sim.eval_model(model, &spec));
+    let _ = sim.eval_model_cached(&model, &spec, &cache, &model.name); // fill
+    let cold = sampler.leg(1.0, {
+        let (sim, model, spec) = (sim.clone(), model.clone(), spec.clone());
+        move || {
+            black_box(sim.eval_model(&model, &spec));
+        }
     });
-    let warm = best_seconds(samples, || {
-        std::hint::black_box(sim.eval_model_cached(model, &spec, &cache, &model.name));
+    let warm = sampler.leg(1.0, move || {
+        black_box(sim.eval_model_cached(&model, &spec, &cache, &model.name));
     });
 
-    TraceBench {
-        extract_masks_per_sec_bitmap: masks_per_pass as f64 / bitmap,
-        extract_masks_per_sec_reference: masks_per_pass as f64 / reference,
-        synthetic_masks_per_sec: gen_masks as f64 / synthetic,
-        cache_hit_speedup: cold / warm,
+    move |rate| TraceBench {
+        extract_masks_per_sec_bitmap: rate[bitmap],
+        extract_masks_per_sec_reference: rate[reference],
+        synthetic_masks_per_sec: rate[synthetic],
+        cache_hit_speedup: rate[warm] / rate[cold],
     }
 }
 
-/// Measures the trace-source pipeline: one live training epoch with
-/// trace extraction, artifact serialization, and recorded replay
-/// (parse + `layer_ops`). The training workload is the `--smoke` trainer
-/// configuration in **both** variants — rates stay commensurable across
-/// smoke/full runs, which is what lets CI's smoke run gate them against
-/// a committed full-run baseline.
-#[must_use]
-pub fn bench_source(smoke: bool) -> SourceBench {
-    use tensordash_trace::{RecordedSource, TraceRequest, TraceSource};
-
-    // Like the store rates, every source rate gates cross-variant against
-    // a full-run baseline, so the smoke variant keeps the full sample
-    // count rather than reading best-of-2 noise as a regression.
-    let _ = smoke;
-    let samples = 5;
+/// The fixed training workload of the source and store sections: the
+/// trainer options, the recording of one epoch, the request that replays
+/// it and its mask count. It is the `--smoke` trainer configuration in
+/// **both** variants, so these rates stay commensurable across smoke/full
+/// runs, which is what lets CI's smoke run gate them against a committed
+/// full-run baseline.
+fn training_workload() -> (TrainOptions, TraceRecording, TraceRequest, f64) {
     let options = TrainOptions {
         name: "bench".to_string(),
         epochs: 1,
@@ -933,93 +917,65 @@ pub fn bench_source(smoke: bool) -> SourceBench {
         .flat_map(|(_, ops)| ops.iter())
         .map(|t| t.arena_masks().len())
         .sum();
+    let request = TraceRequest {
+        progress: 0.0,
+        lanes: recording.meta.lanes,
+        sample: recording.meta.sample,
+        seed: 0,
+    };
+    (options, recording, request, masks as f64)
+}
 
-    let live = best_seconds(samples, || {
-        std::hint::black_box(capture_training(&options).expect("bench training workload"));
-    });
-
+/// Registers the trace-source pipeline's legs: one live training epoch
+/// with trace extraction, artifact serialization, and recorded replay
+/// (parse + `layer_ops`).
+fn bench_source(sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> SourceBench {
+    let (options, recording, request, masks) = training_workload();
     let text = recording.to_json();
-    let record = best_seconds(samples, || {
-        std::hint::black_box(recording.to_json());
+    let live = sampler.leg(masks, move || {
+        black_box(capture_training(&options).expect("bench training workload"));
     });
-
-    let request = TraceRequest {
-        progress: 0.0,
-        lanes: recording.meta.lanes,
-        sample: recording.meta.sample,
-        seed: 0,
-    };
-    let replay = best_seconds(samples, || {
+    let record = sampler.leg(text.len() as f64, move || {
+        black_box(recording.to_json());
+    });
+    let replay = sampler.leg(masks, move || {
         let source = RecordedSource::from_json(&text).expect("bench artifact");
-        std::hint::black_box(source.layer_ops(&request).expect("bench replay"));
+        black_box(source.layer_ops(&request).expect("bench replay"));
     });
-
-    SourceBench {
-        live_masks_per_sec: masks as f64 / live,
-        replay_masks_per_sec: masks as f64 / replay,
-        record_bytes_per_sec: text.len() as f64 / record,
+    move |rate| SourceBench {
+        live_masks_per_sec: rate[live],
+        replay_masks_per_sec: rate[replay],
+        record_bytes_per_sec: rate[record],
     }
 }
 
-/// Measures the binary trace-store leg: `tensordash-trace/2` pack
-/// (encode) throughput and binary replay (decode + `layer_ops`)
-/// throughput, over the **identical** fixed training workload as
-/// [`bench_source`] — masks are counted the same way, so
-/// `store.load_masks_per_sec / source.replay_masks_per_sec` is exactly
-/// the binary-over-JSON replay speedup the v2 format exists to buy.
-#[must_use]
-pub fn bench_store(smoke: bool) -> StoreBench {
-    use tensordash_trace::{RecordedSource, TraceRequest, TraceSource};
-
-    // Both store rates gate cross-variant against a full-run baseline and
-    // the measured loops are milliseconds long, so the smoke variant keeps
-    // the full sample count (best-of-2 swung +/-25% run to run).
-    let _ = smoke;
-    let samples = 5;
-    let options = TrainOptions {
-        name: "bench".to_string(),
-        epochs: 1,
-        batch_size: 32,
-        seed: 0xDA5A,
-        smoke: true, // the fixed tiny workload, in both variants
-        ..TrainOptions::default()
-    };
-    let recording = capture_training(&options).expect("bench training workload");
-    let masks: usize = recording
-        .epochs
-        .iter()
-        .flat_map(|e| e.layers.iter())
-        .flat_map(|(_, ops)| ops.iter())
-        .map(|t| t.arena_masks().len())
-        .sum();
-
+/// Registers the binary trace-store legs: `tensordash-trace/2` pack
+/// (encode) and binary replay (decode + `layer_ops`), over the
+/// **identical** training workload as [`bench_source`] — masks are counted
+/// the same way, so `store.load_masks_per_sec /
+/// source.replay_masks_per_sec` is exactly the binary-over-JSON replay
+/// speedup the v2 format exists to buy.
+fn bench_store(sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> StoreBench {
+    let (_, recording, request, masks) = training_workload();
     let bytes = recording.to_bytes();
-    let pack = best_seconds(samples, || {
-        std::hint::black_box(recording.to_bytes());
+    let binary_over_json_bytes = bytes.len() as f64 / recording.to_json().len() as f64;
+    let pack = sampler.leg(bytes.len() as f64, move || {
+        black_box(recording.to_bytes());
     });
-
-    let request = TraceRequest {
-        progress: 0.0,
-        lanes: recording.meta.lanes,
-        sample: recording.meta.sample,
-        seed: 0,
-    };
-    let load = best_seconds(samples, || {
+    let load = sampler.leg(masks, move || {
         let source = RecordedSource::from_bytes(&bytes).expect("bench v2 artifact");
-        std::hint::black_box(source.layer_ops(&request).expect("bench store replay"));
+        black_box(source.layer_ops(&request).expect("bench store replay"));
     });
-
-    StoreBench {
-        load_masks_per_sec: masks as f64 / load,
-        pack_bytes_per_sec: bytes.len() as f64 / pack,
-        binary_over_json_bytes: bytes.len() as f64 / recording.to_json().len() as f64,
+    move |rate| StoreBench {
+        load_masks_per_sec: rate[load],
+        pack_bytes_per_sec: rate[pack],
+        binary_over_json_bytes,
     }
 }
 
-/// Evaluates the fixed model workload set, timing each model end to end
-/// (best of 3 after one untimed warm-up), cold and trace-cache-warm.
-#[must_use]
-pub fn bench_models(smoke: bool) -> Vec<ModelBench> {
+/// Registers two legs per model of the fixed workload set, an end-to-end
+/// evaluation with cold traces and one with the trace cache warm.
+fn bench_models(smoke: bool, sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> Vec<ModelBench> {
     let sim = Simulator::new(ChipConfig::paper());
     let (names, spec): (&[&str], EvalSpec) = if smoke {
         (
@@ -1043,43 +999,55 @@ pub fn bench_models(smoke: bool) -> Vec<ModelBench> {
         )
     };
     let zoo = paper_models();
-    names
+    let models: Vec<_> = names
         .iter()
         .map(|&name| {
             let model = zoo
                 .iter()
                 .find(|m| m.name == name)
-                .expect("bench workload model is in the zoo");
-            let report = sim.eval_model(model, &spec); // warm-up, untimed
-            let wall_seconds = best_seconds(3, || {
-                std::hint::black_box(sim.eval_model(model, &spec));
-            });
+                .expect("bench workload model is in the zoo")
+                .clone();
+            let report = sim.eval_model(&model, &spec);
             let cache = TraceCache::new();
-            let _ = sim.eval_model_cached(model, &spec, &cache, name);
-            let wall_seconds_cached = best_seconds(3, || {
-                std::hint::black_box(sim.eval_model_cached(model, &spec, &cache, name));
+            let _ = sim.eval_model_cached(&model, &spec, &cache, name);
+            let cold = sampler.leg(1.0, {
+                let (sim, model, spec) = (sim.clone(), model.clone(), spec.clone());
+                move || {
+                    black_box(sim.eval_model(&model, &spec));
+                }
             });
-            let cycles_simulated = report.tensordash_counters().compute_cycles;
-            ModelBench {
-                name: name.to_string(),
-                wall_seconds,
-                wall_seconds_cached,
-                cycles_simulated,
-                cycles_per_second: cycles_simulated as f64 / wall_seconds,
-                speedup: report.total_speedup(),
-            }
+            let (sim, spec) = (sim.clone(), spec.clone());
+            let cached = sampler.leg(1.0, move || {
+                black_box(sim.eval_model_cached(&model, &spec, &cache, name));
+            });
+            let cycles = report.tensordash_counters().compute_cycles;
+            (name, cycles, report.total_speedup(), cold, cached)
         })
-        .collect()
+        .collect();
+    move |rate| {
+        models
+            .into_iter()
+            .map(
+                |(name, cycles_simulated, speedup, cold, cached)| ModelBench {
+                    name: name.to_string(),
+                    wall_seconds: 1.0 / rate[cold],
+                    wall_seconds_cached: 1.0 / rate[cached],
+                    cycles_simulated,
+                    cycles_per_second: cycles_simulated as f64 * rate[cold],
+                    speedup,
+                },
+            )
+            .collect()
+    }
 }
 
-/// Measures what intra-run sharding buys on the single-big-item regime:
+/// Registers what intra-run sharding buys on the single-big-item regime:
 /// the ViT-L MLP block (two transformer-scale GEMMs — too few (layer,
 /// op) items to occupy a pool by themselves) evaluated over warm cached
-/// traces at 1 worker and at 8. Before timing, the two reports are
+/// traces at 1 worker and at 8. Before registering, the two reports are
 /// asserted byte-equal: the thread count may only move wall time, never
 /// results.
-#[must_use]
-pub fn bench_sharding(smoke: bool) -> ShardingBench {
+fn bench_sharding(smoke: bool, sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> ShardingBench {
     use tensordash_models::vit_l_mlp;
 
     let model = vit_l_mlp();
@@ -1092,36 +1060,37 @@ pub fn bench_sharding(smoke: bool) -> ShardingBench {
         .seed(0xDA5A)
         .build()
         .expect("valid sharding bench spec");
-    let samples = if smoke { 3 } else { 5 };
-    let cache = TraceCache::new();
+    let cache = Rc::new(TraceCache::new());
     let serial = Simulator::new(ChipConfig::paper()).with_threads(1);
     let pooled = Simulator::new(ChipConfig::paper()).with_threads(8);
-    // Warm the cache (untimed) and pin down determinism across pools.
+    // Warm the cache and pin down determinism across pools.
     let reference = serial.eval_model_cached(&model, &spec, &cache, &model.name);
     assert_eq!(
         pooled.eval_model_cached(&model, &spec, &cache, &model.name),
         reference,
         "thread count must never change results"
     );
-    let wall_seconds_1_thread = best_seconds(samples, || {
-        std::hint::black_box(serial.eval_model_cached(&model, &spec, &cache, &model.name));
-    });
-    let wall_seconds_8_threads = best_seconds(samples, || {
-        std::hint::black_box(pooled.eval_model_cached(&model, &spec, &cache, &model.name));
-    });
-    ShardingBench {
+    let mut wall_leg = |sim: Simulator| {
+        let (model, spec, cache) = (model.clone(), spec.clone(), Rc::clone(&cache));
+        sampler.leg(1.0, move || {
+            black_box(sim.eval_model_cached(&model, &spec, &cache, &model.name));
+        })
+    };
+    let (one_thread, eight_threads) = (wall_leg(serial), wall_leg(pooled));
+    move |rate| ShardingBench {
         model: model.name,
-        wall_seconds_1_thread,
-        wall_seconds_8_threads,
+        wall_seconds_1_thread: 1.0 / rate[one_thread],
+        wall_seconds_8_threads: 1.0 / rate[eight_threads],
     }
 }
 
-/// Measures service-level traffic throughput: boots an in-process
-/// `tensordash serve` (with a content-addressed trace store in a scratch
+/// Service-level traffic throughput: boots an in-process `tensordash
+/// serve` (with a content-addressed trace store in a scratch
 /// `--trace-dir`, so the upload + stored-replay leg of the mix is
-/// exercised) on an ephemeral port and drives the deterministic
-/// `loadtest` mix through it, twice, keeping the better pass (the same
-/// noise-robust minimum-time estimator as every other metric here).
+/// exercised) on an ephemeral port, and registers one pass of the
+/// deterministic `loadtest` mix through it as a leg. The fastest pass
+/// supplies the rate and the latencies; the returned closure also
+/// scrapes the server's fault counters and shuts it down.
 ///
 /// Both variants fire the **identical per-request workload** — smoke only
 /// trims the request count, not the 1-in-8 upload mix — so
@@ -1134,9 +1103,8 @@ pub fn bench_sharding(smoke: bool) -> ShardingBench {
 /// Panics when the loopback server cannot be bound or the load generator
 /// cannot reach it — on a bench host that is a broken environment, not a
 /// measurement.
-#[must_use]
-pub fn bench_service(smoke: bool) -> ServiceBench {
-    use crate::loadtest::{self, LoadtestOptions};
+fn bench_service(smoke: bool, sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> ServiceBench {
+    use crate::loadtest::{self, LoadtestOptions, LoadtestReport};
     use crate::service::{Service, ServiceConfig};
 
     let trace_dir =
@@ -1160,78 +1128,83 @@ pub fn bench_service(smoke: bool) -> ServiceBench {
     // the rate and smoke runs read artificially slow against a full-run
     // baseline.
     options.requests = if smoke { 32 } else { 64 };
-    let passes = if smoke { 2 } else { 3 };
-    let mut best: Option<crate::loadtest::LoadtestReport> = None;
-    for _ in 0..passes {
-        let report = loadtest::run(&options).expect("loadtest against the in-process service");
-        assert_eq!(
-            report.failures, 0,
-            "bench traffic must not drop requests ({} failed)",
-            report.failures
-        );
-        if best
-            .as_ref()
-            .is_none_or(|b| report.requests_per_sec > b.requests_per_sec)
-        {
-            best = Some(report);
+    let fastest: Rc<RefCell<Option<LoadtestReport>>> = Rc::default();
+    sampler.leg(options.requests as f64, {
+        let fastest = Rc::clone(&fastest);
+        move || {
+            let report = loadtest::run(&options).expect("loadtest against the in-process service");
+            assert_eq!(
+                report.failures, 0,
+                "bench traffic must not drop requests ({} failed)",
+                report.failures
+            );
+            let mut fastest = fastest.borrow_mut();
+            if fastest
+                .as_ref()
+                .is_none_or(|f| report.requests_per_sec > f.requests_per_sec)
+            {
+                *fastest = Some(report);
+            }
         }
+    });
+    move |_| {
+        // Scrape the server's fault-mode counters before shutdown: a
+        // fault-free bench run must not have needed the failure model. Any
+        // isolated panic, timed-out job, or quarantined object here is a
+        // real bug the throughput number would otherwise launder.
+        let (status, body) = tensordash_server::http::client_request(
+            addr,
+            "GET",
+            "/metrics",
+            None,
+            std::time::Duration::from_secs(10),
+        )
+        .expect("bench service metrics must be reachable");
+        assert_eq!(status, 200, "metrics scrape failed: {body}");
+        let metrics = tensordash_serde::json::parse(&body).expect("metrics must parse");
+        let counter = |section: &str, key: &str| -> u64 {
+            metrics
+                .get(section)
+                .and_then(|s| s.get(key))
+                .and_then(|v| v.as_u64().ok())
+                .unwrap_or(0)
+        };
+        let best = fastest.take().expect("at least one loadtest pass");
+        let service_bench = ServiceBench {
+            requests: best.requests,
+            concurrency: best.concurrency,
+            requests_per_sec: best.requests_per_sec,
+            latency_ms_p50: best.latency_ms_p50,
+            latency_ms_p90: best.latency_ms_p90,
+            latency_ms_p99: best.latency_ms_p99,
+            retries: best.retries,
+            handler_panics: counter("faults", "handler_panics"),
+            jobs_timed_out: counter("jobs", "timed_out"),
+            jobs_panicked: counter("jobs", "panicked"),
+            store_quarantined: counter("store", "quarantined"),
+        };
+        running
+            .shutdown_and_join()
+            .expect("bench service failed to shut down");
+        std::fs::remove_dir_all(&trace_dir).ok();
+        assert_eq!(
+            (
+                service_bench.handler_panics,
+                service_bench.jobs_timed_out,
+                service_bench.jobs_panicked,
+                service_bench.store_quarantined,
+            ),
+            (0, 0, 0, 0),
+            "a fault-free bench run must not trip the failure model"
+        );
+        service_bench
     }
-    // Scrape the server's fault-mode counters before shutdown: a
-    // fault-free bench run must not have needed the failure model. Any
-    // isolated panic, timed-out job, or quarantined object here is a
-    // real bug the throughput number would otherwise launder.
-    let (status, body) = tensordash_server::http::client_request(
-        addr,
-        "GET",
-        "/metrics",
-        None,
-        std::time::Duration::from_secs(10),
-    )
-    .expect("bench service metrics must be reachable");
-    assert_eq!(status, 200, "metrics scrape failed: {body}");
-    let metrics = tensordash_serde::json::parse(&body).expect("metrics must parse");
-    let counter = |section: &str, key: &str| -> u64 {
-        metrics
-            .get(section)
-            .and_then(|s| s.get(key))
-            .and_then(|v| v.as_u64().ok())
-            .unwrap_or(0)
-    };
-    let best = best.expect("at least one loadtest pass");
-    let service_bench = ServiceBench {
-        requests: best.requests,
-        concurrency: best.concurrency,
-        requests_per_sec: best.requests_per_sec,
-        latency_ms_p50: best.latency_ms_p50,
-        latency_ms_p90: best.latency_ms_p90,
-        latency_ms_p99: best.latency_ms_p99,
-        retries: best.retries,
-        handler_panics: counter("faults", "handler_panics"),
-        jobs_timed_out: counter("jobs", "timed_out"),
-        jobs_panicked: counter("jobs", "panicked"),
-        store_quarantined: counter("store", "quarantined"),
-    };
-    running
-        .shutdown_and_join()
-        .expect("bench service failed to shut down");
-    std::fs::remove_dir_all(&trace_dir).ok();
-    assert_eq!(
-        (
-            service_bench.handler_panics,
-            service_bench.jobs_timed_out,
-            service_bench.jobs_panicked,
-            service_bench.store_quarantined,
-        ),
-        (0, 0, 0, 0),
-        "a fault-free bench run must not trip the failure model"
-    );
-    service_bench
 }
 
 /// The `schema` tag of the documents this build writes. It moves whenever
-/// a metric's measured work changes, so a baseline of another schema is
-/// not compared on the kernel legs (see [`diff_against_baseline`]).
-const BENCH_SCHEMA: &str = "tensordash-bench/11";
+/// a metric's measured work or sampling changes, so a baseline of another
+/// schema is not compared on the kernel legs (see [`diff_against_baseline`]).
+const BENCH_SCHEMA: &str = "tensordash-bench/12";
 
 /// Throughput regressions larger than this fraction fail a
 /// `--baseline` run (kernel, trace, and model metrics).
@@ -1289,16 +1262,15 @@ fn baseline_float(doc: &Value, section: &str, key: &str) -> Option<f64> {
 /// Diffs this run's throughput metrics against a previously committed
 /// `BENCH_<n>.json` document.
 ///
-/// Kernel throughputs are per-step/per-mask rates over the same inner
-/// workload in both variants (smoke trims samples and stream length, not
-/// the measured loop), so they compare across smoke/full runs — which is
+/// Kernel throughputs are per-step/per-mask rates over the same legs in
+/// both variants, so they compare across smoke/full runs — which is
 /// what lets CI's smoke run gate against a committed full-run baseline.
 /// They compare only against a baseline of this build's schema: schema
 /// `tensordash-bench/11` kept the key names of both gated kernel legs but
-/// changed their work (`steps_per_sec_batched` times one window per call,
-/// not four; `group_masks_per_sec_batched` times 16 streams as four
-/// groups in flight, not one 4-stream group), so matching older documents
-/// by key name would gate unrelated numbers. Trace and per-model
+/// changed their work, and `/12` changed how every leg is sampled (the
+/// fastest sample of a ~20 s round-robin wall, not a best-of-k taken
+/// within about a second), so matching older documents by key name would
+/// gate numbers measured another way. Trace and per-model
 /// throughputs are only compared when both runs used the same variant:
 /// the smoke variant extracts a smaller layer and evaluates a reduced
 /// spec, so its masks/sec and cycles-per-second are not commensurable
@@ -1497,26 +1469,31 @@ pub fn diff_against_baseline(summary: &BenchSummary, baseline: &Value) -> Vec<Ba
 /// Returns the underlying I/O error if the report cannot be written.
 pub fn run(options: &BenchOptions) -> std::io::Result<(PathBuf, BenchSummary)> {
     let start = Instant::now();
-    warm_up();
-    let kernel = bench_kernel(options.smoke);
-    let schedulers = bench_schedulers(options.smoke);
-    let trace = bench_trace(options.smoke);
-    let source = bench_source(options.smoke);
-    let store = bench_store(options.smoke);
-    let models = bench_models(options.smoke);
-    let sharding = bench_sharding(options.smoke);
-    let service = bench_service(options.smoke);
+    let steal_at_start = steal_ticks();
+    let mut sampler = Sampler::default();
+    let kernel = bench_kernel(&mut sampler);
+    let schedulers = bench_schedulers(options.smoke, &mut sampler);
+    let trace = bench_trace(options.smoke, &mut sampler);
+    let source = bench_source(&mut sampler);
+    let store = bench_store(&mut sampler);
+    let models = bench_models(options.smoke, &mut sampler);
+    let sharding = bench_sharding(options.smoke, &mut sampler);
+    let service = bench_service(options.smoke, &mut sampler);
+    let rate = sampler.run(SAMPLE_WALL, || start.elapsed().as_secs_f64());
     let summary = BenchSummary {
         smoke: options.smoke,
         nproc: std::thread::available_parallelism().map_or(1, usize::from),
-        kernel,
-        schedulers,
-        trace,
-        source,
-        store,
-        models,
-        sharding,
-        service,
+        kernel: kernel(&rate),
+        schedulers: schedulers(&rate),
+        trace: trace(&rate),
+        source: source(&rate),
+        store: store(&rate),
+        models: models(&rate),
+        sharding: sharding(&rate),
+        service: service(&rate),
+        steal_ticks: steal_ticks()
+            .zip(steal_at_start)
+            .map(|(end, start)| end.saturating_sub(start)),
         total_wall_seconds: start.elapsed().as_secs_f64(),
     };
     let path = options.out.clone().unwrap_or_else(next_bench_path);
@@ -1583,9 +1560,77 @@ mod tests {
         }
     }
 
+    /// The sampler on a fake clock that each leg call advances by the
+    /// leg's next scripted cost: samples go round-robin, every timed sample
+    /// clears the floor, and each rate comes from the leg's fastest sample.
+    #[test]
+    fn sampler_runs_legs_round_robin_and_keeps_each_fastest_sample() {
+        let clock = Rc::new(std::cell::Cell::new(0.0));
+        let calls = Rc::new(RefCell::new(Vec::new()));
+        let mut sampler = Sampler::default();
+        let mut leg = |name: char, units: f64, costs: &'static [f64]| {
+            let (clock, calls) = (Rc::clone(&clock), Rc::clone(&calls));
+            let mut costs = costs.iter().cycle();
+            sampler.leg(units, move || {
+                clock.set(clock.get() + costs.next().unwrap());
+                calls.borrow_mut().push(name);
+            })
+        };
+        // `a` and `b` clear the 10 ms floor in one call, `c` needs many.
+        // `a`'s fastest cost is neither its first nor its last sample.
+        let a = leg('a', 6.0, &[0.030, 0.020, 0.025, 0.012, 0.028]);
+        let b = leg('b', 1.0, &[0.011]);
+        let c = leg('c', 2.0, &[0.001]);
+        let rate = sampler.run(1.0, || clock.get());
+        assert!((rate[a] - 6.0 / 0.012).abs() < 1e-6, "{}", rate[a]);
+        assert!((rate[b] - 1.0 / 0.011).abs() < 1e-6, "{}", rate[b]);
+        assert!((rate[c] - 2.0 / 0.001).abs() < 1e-6, "{}", rate[c]);
+
+        // Collapse the call log into runs of one leg: each run is one
+        // sample (or, first, one calibration).
+        let mut runs: Vec<(char, usize)> = Vec::new();
+        for &name in calls.borrow().iter() {
+            match runs.last_mut() {
+                Some((last, n)) if *last == name => *n += 1,
+                _ => runs.push((name, 1)),
+            }
+        }
+        assert!(
+            runs.len() > 3 * 10,
+            "a 1 s wall holds many rounds: {runs:?}"
+        );
+        for (i, &(name, n)) in runs.iter().enumerate() {
+            assert_eq!(name, ['a', 'b', 'c'][i % 3], "round-robin order: {runs:?}");
+            match name {
+                'c' => assert!(n >= 10, "a `c` sample of {n} ms is under the floor"),
+                _ => assert_eq!(n, 1, "`{name}` sampled twice in a row: {runs:?}"),
+            }
+        }
+    }
+
     #[test]
     fn smoke_bench_measures_and_serializes() {
-        let kernel = bench_kernel(true);
+        let out = std::env::temp_dir().join(format!(
+            "tensordash-bench-smoke-{}.json",
+            std::process::id()
+        ));
+        let (path, summary) = run(&BenchOptions {
+            smoke: true,
+            out: Some(out),
+            baseline: None,
+        })
+        .unwrap();
+        let json = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let BenchSummary {
+            kernel,
+            trace,
+            source,
+            store,
+            service,
+            schedulers,
+            ..
+        } = &summary;
         assert!(kernel.steps_per_sec_batched > 0.0);
         assert!(kernel.steps_per_sec_reference > 0.0);
         // Both row-group legs are measured. Their ratio is the fallback
@@ -1595,7 +1640,6 @@ mod tests {
         assert!(kernel.group_masks_per_sec_batched > 0.0);
         assert!(kernel.group_masks_per_sec_one_group > 0.0);
         assert!(kernel.group_masks_per_sec_reference > 0.0);
-        let trace = bench_trace(true);
         assert!(trace.extract_masks_per_sec_bitmap > 0.0);
         assert!(
             trace.extraction_speedup() > 1.0,
@@ -1603,11 +1647,9 @@ mod tests {
             trace.extraction_speedup()
         );
         assert!(trace.cache_hit_speedup > 1.0);
-        let source = bench_source(true);
         assert!(source.live_masks_per_sec > 0.0);
         assert!(source.replay_masks_per_sec > 0.0);
         assert!(source.record_bytes_per_sec > 0.0);
-        let store = bench_store(true);
         assert!(store.load_masks_per_sec > 0.0);
         assert!(store.pack_bytes_per_sec > 0.0);
         assert!(
@@ -1621,11 +1663,9 @@ mod tests {
             store.load_masks_per_sec,
             source.replay_masks_per_sec
         );
-        let service = bench_service(true);
         assert!(service.requests_per_sec > 0.0);
         assert!(service.latency_ms_p50 > 0.0);
         assert!(service.latency_ms_p99 >= service.latency_ms_p50);
-        let schedulers = bench_schedulers(true);
         assert_eq!(schedulers.len(), 4, "one entry per family member");
         let member = |name: &str| {
             schedulers
@@ -1642,46 +1682,45 @@ mod tests {
             member("tensordash").modeled_speedup > member("2to4").modeled_speedup,
             "the promotion network must beat the 2x-capped member on this mix"
         );
-        for s in &schedulers {
+        for s in schedulers {
             if s.name == "dense" {
                 assert_eq!(s.group_masks_per_sec, None, "the dense member is not timed");
             } else {
                 assert!(s.group_masks_per_sec.is_some_and(|rate| rate > 0.0));
             }
         }
-        let summary = BenchSummary {
-            smoke: true,
-            nproc: 2,
-            kernel,
-            schedulers,
-            trace,
-            source,
-            store,
-            models: bench_models(true),
-            sharding: bench_sharding(true),
-            service,
-            total_wall_seconds: 0.5,
-        };
         assert_eq!(summary.models.len(), 1);
         assert!(summary.models[0].speedup > 1.0);
         assert!(summary.models[0].wall_seconds_cached <= summary.models[0].wall_seconds * 1.5);
         assert_eq!(summary.sharding.model, "ViT-L-MLP");
         assert!(summary.sharding.wall_seconds_1_thread > 0.0);
         assert!(summary.sharding.wall_seconds_8_threads > 0.0);
-        let doc = summary.document();
+        let doc = tensordash_serde::json::parse(&json).unwrap();
         assert!(doc.get("kernel").is_some());
         assert!(doc.get("schedulers").is_some());
         assert_eq!(
             doc.get("schema").unwrap().as_str().unwrap(),
-            "tensordash-bench/11"
+            "tensordash-bench/12"
         );
-        assert_eq!(doc.get("nproc").unwrap().as_u64().unwrap(), 2);
+        assert_eq!(
+            doc.get("nproc").unwrap().as_u64().unwrap(),
+            summary.nproc as u64
+        );
+        // Steal is recorded wherever `/proc/stat` reads, and left out
+        // elsewhere.
+        assert_eq!(
+            summary.steal_ticks.is_some(),
+            std::fs::read_to_string("/proc/stat").is_ok()
+        );
+        assert_eq!(
+            doc.get("steal_ticks").map(|t| t.as_u64().unwrap()),
+            summary.steal_ticks
+        );
         assert!(doc.get("trace").is_some());
         assert!(doc.get("source").is_some());
         assert!(doc.get("store").is_some());
         assert!(doc.get("sharding").is_some());
         assert!(doc.get("service").is_some());
-        let json = tensordash_serde::json::write(&doc);
         assert!(json.contains("steps_per_sec_batched"));
         assert!(json.contains("group_masks_per_sec_one_group"));
         assert!(json.contains("in_flight_speedup"));
@@ -1699,6 +1738,7 @@ mod tests {
         let summary = BenchSummary {
             smoke: true,
             nproc: 2,
+            steal_ticks: None,
             kernel: KernelBench {
                 steps_per_sec_batched: 5.0e6, // half the baseline: regressed
                 steps_per_sec_reference: 1.0e6,
@@ -1726,7 +1766,7 @@ mod tests {
                 "group_masks_per_sec_batched": 1.8e7}, "models": [
                 {"name": "AlexNet", "cycles_per_second": 8.0e9}]}"#;
         let baseline = tensordash_serde::json::parse(&format!(
-            r#"{{"schema": "tensordash-bench/11", {kernel_only}"#
+            r#"{{"schema": "tensordash-bench/12", {kernel_only}"#
         ))
         .unwrap();
         let diffs = diff_against_baseline(&summary, &baseline);
@@ -1748,7 +1788,7 @@ mod tests {
 
         // The same numbers under an older schema, or none (BENCH_2 had no
         // tag), time other work under the same key names: not compared.
-        for tag in [r#""schema": "tensordash-bench/10", "#, ""] {
+        for tag in [r#""schema": "tensordash-bench/11", "#, ""] {
             let old = tensordash_serde::json::parse(&format!("{{{tag}{kernel_only}")).unwrap();
             assert!(diff_against_baseline(&summary, &old).is_empty(), "{tag}");
         }
@@ -1759,6 +1799,7 @@ mod tests {
         let summary = BenchSummary {
             smoke: false,
             nproc: 2,
+            steal_ticks: None,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0e7,
                 steps_per_sec_reference: 1.0e6,
@@ -1834,6 +1875,7 @@ mod tests {
         let summary = BenchSummary {
             smoke: true,
             nproc: 2,
+            steal_ticks: None,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0,
                 steps_per_sec_reference: 1.0,
@@ -1888,6 +1930,7 @@ mod tests {
         let mut summary = BenchSummary {
             smoke: true,
             nproc: 2,
+            steal_ticks: None,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0,
                 steps_per_sec_reference: 1.0,

@@ -307,8 +307,14 @@ fn bench_smoke_writes_a_perf_report() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("row-group"), "{text}");
     let json = std::fs::read_to_string(&out_path).unwrap();
+    // Host steal is recorded, in the document and on the `total` line,
+    // wherever `/proc/stat` can be read.
+    if std::fs::read_to_string("/proc/stat").is_ok() {
+        assert!(json.contains("\"steal_ticks\""), "{json}");
+        assert!(text.contains("steal ticks"), "{text}");
+    }
     for key in [
-        "tensordash-bench/11",
+        "tensordash-bench/12",
         "\"nproc\"",
         "group_masks_per_sec_one_group",
         "in_flight_speedup",
@@ -340,7 +346,7 @@ fn bench_smoke_writes_a_perf_report() {
     let low_baseline = temp_file("bench-baseline-low.json");
     std::fs::write(
         &low_baseline,
-        r#"{"schema": "tensordash-bench/11", "smoke": true,
+        r#"{"schema": "tensordash-bench/12", "smoke": true,
             "kernel": {"steps_per_sec_batched": 1.0,
             "group_masks_per_sec_batched": 1.0}}"#,
     )
@@ -366,7 +372,7 @@ fn bench_smoke_writes_a_perf_report() {
     let high_baseline = temp_file("bench-baseline-high.json");
     std::fs::write(
         &high_baseline,
-        r#"{"schema": "tensordash-bench/11", "smoke": true,
+        r#"{"schema": "tensordash-bench/12", "smoke": true,
             "kernel": {"steps_per_sec_batched": 1.0e18,
             "group_masks_per_sec_batched": 1.0e18}}"#,
     )

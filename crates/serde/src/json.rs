@@ -25,51 +25,6 @@ pub fn write_compact(value: &Value) -> String {
     out
 }
 
-/// Streams `value` as JSON straight into an I/O sink (compact form),
-/// without materializing the document as one `String` first — what a
-/// service writing reports onto sockets or into files wants for large
-/// documents.
-///
-/// # Errors
-///
-/// Returns the sink's I/O error.
-pub fn write_to<W: std::io::Write>(value: &Value, sink: &mut W) -> std::io::Result<()> {
-    // The tree is rendered in bounded chunks: scalars and punctuation are
-    // written as they are produced, so peak memory is one scalar's text,
-    // not the whole document.
-    match value {
-        Value::Array(items) => {
-            sink.write_all(b"[")?;
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    sink.write_all(b", ")?;
-                }
-                write_to(item, sink)?;
-            }
-            sink.write_all(b"]")
-        }
-        Value::Table(entries) => {
-            sink.write_all(b"{")?;
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    sink.write_all(b", ")?;
-                }
-                let mut rendered_key = String::new();
-                write_string(key, &mut rendered_key);
-                sink.write_all(rendered_key.as_bytes())?;
-                sink.write_all(b": ")?;
-                write_to(item, sink)?;
-            }
-            sink.write_all(b"}")
-        }
-        scalar => {
-            let mut out = String::new();
-            write_value_compact(scalar, &mut out);
-            sink.write_all(out.as_bytes())
-        }
-    }
-}
-
 fn write_value_compact(value: &Value, out: &mut String) {
     match value {
         Value::Array(items) => {
@@ -472,14 +427,6 @@ mod tests {
         assert!(!compact.contains('\n'), "{compact}");
         assert_eq!(parse(&compact).unwrap(), v);
         assert_eq!(parse(&compact).unwrap(), parse(&write(&v)).unwrap());
-    }
-
-    #[test]
-    fn streaming_writer_matches_the_compact_string() {
-        let v = parse(r#"{"a": [true, null, "s"], "big": 18446744073709551615}"#).unwrap();
-        let mut sink = Vec::new();
-        write_to(&v, &mut sink).unwrap();
-        assert_eq!(String::from_utf8(sink).unwrap(), write_compact(&v));
     }
 
     #[test]
