@@ -303,10 +303,11 @@ fn run_bench(args: &[String]) -> Result<(), String> {
     let (path, summary) =
         tensordash_bench::perf::run(&options).map_err(|e| format!("cannot write report: {e}"))?;
     println!(
-        "kernel: {:.2}x single-step, {:.2}x row-group over the scalar reference ({:.2}x four groups in flight over one)",
+        "kernel: {:.2}x single-step, {:.2}x row-group over the scalar reference ({:.2}x four groups in flight over one, {:.2}x 1-row groups over 4-row)",
         summary.kernel.step_speedup(),
         summary.kernel.group_speedup(),
-        summary.kernel.in_flight_speedup()
+        summary.kernel.in_flight_speedup(),
+        summary.kernel.one_row_ratio()
     );
     println!(
         "sharding: {} {:.4}s at 1 thread, {:.4}s at 8 ({:.2}x)",

@@ -7,8 +7,9 @@
 //! * **kernel** — scheduler step throughput (`step_masks` vs the scalar
 //!   reference search), plus whole row-group throughput: 16 streams as
 //!   four Table 2 row-groups stepped in flight by one `run_masks_arena`
-//!   call (the headline), the same streams one group per call, and the
-//!   per-step engine-dispatch reference;
+//!   call (the headline), the same streams as sixteen 1-row groups in
+//!   one call (sharing packed words), the same streams one 4-row group
+//!   per call, and the per-step engine-dispatch reference;
 //! * **schedulers** — the scheduler family side by side over one fixed
 //!   row-group arena: each member's modeled speedup, and the row-group
 //!   masks/s of every member except the arithmetic `dense` one;
@@ -98,6 +99,11 @@ pub struct KernelBench {
     /// four Table 2 row-groups of 4 streams in flight in one call — the
     /// headline rate the `--baseline` gate watches.
     pub group_masks_per_sec_batched: f64,
+    /// The same streams through one `run_masks_arena` call as sixteen
+    /// one-stream row-groups (a 1-row tile), four to a packed word. Kept
+    /// measured so a silent fallback to one group per word shows as
+    /// `one_row_ratio()` near a third.
+    pub group_masks_per_sec_one_row: f64,
     /// The same streams through `run_masks_arena` one row-group per call.
     /// Kept measured so a silent fallback to one group in flight shows as
     /// `in_flight_speedup()` near 1.
@@ -120,6 +126,14 @@ impl KernelBench {
     #[must_use]
     pub fn in_flight_speedup(&self) -> f64 {
         self.group_masks_per_sec_batched / self.group_masks_per_sec_one_group
+    }
+
+    /// One-row over four-row row-group throughput ratio on the same
+    /// streams — the guard that 1-row groups share packed words (checked
+    /// on the release build; see `ci.sh`).
+    #[must_use]
+    pub fn one_row_ratio(&self) -> f64 {
+        self.group_masks_per_sec_one_row / self.group_masks_per_sec_batched
     }
 
     /// Batched-over-reference row-group throughput ratio.
@@ -335,6 +349,14 @@ impl BenchSummary {
             (
                 "group_masks_per_sec_batched".into(),
                 Value::Float(self.kernel.group_masks_per_sec_batched),
+            ),
+            (
+                "group_masks_per_sec_one_row".into(),
+                Value::Float(self.kernel.group_masks_per_sec_one_row),
+            ),
+            (
+                "one_row_ratio".into(),
+                Value::Float(self.kernel.one_row_ratio()),
             ),
             (
                 "group_masks_per_sec_one_group".into(),
@@ -698,13 +720,21 @@ fn bench_kernel(sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> KernelBench {
     // Whole row-groups: four Table 2 groups of 4 streams (the paper
     // tile's rows), back to back in one arena as the simulator feeds a
     // bundle. The headline leg steps all four in flight in one call; the
-    // one-group leg prices the same streams a group per call. The two legs
-    // are adjacent, so every round times them back to back: a change in
-    // the host's speed lands on both, and their ratio reads the code.
+    // one-row leg runs the same streams as sixteen 1-row groups in one
+    // call, four to a packed word; the one-group leg prices them a 4-row
+    // group per call. The headline leg sits between the other two, so
+    // every round times each pair back to back: a change in the host's
+    // speed lands on both, and their ratios read the code.
     let rows = KERNEL_GROUP_ROWS;
     let streams = group_streams(4, rows);
     let arena = Rc::new(streams.concat());
     let masks = arena.len() as f64;
+    let group_one_row = sampler.leg(masks, {
+        let (scheduler, arena) = (scheduler.clone(), Rc::clone(&arena));
+        move || {
+            black_box(scheduler.run_masks_arena(&arena, rows, 1));
+        }
+    });
     let group_batched = sampler.leg(masks, {
         let (scheduler, arena) = (scheduler.clone(), Rc::clone(&arena));
         move || {
@@ -736,6 +766,7 @@ fn bench_kernel(sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> KernelBench {
             steps_per_sec_batched: steps(step_batched),
             steps_per_sec_reference: steps(step_reference),
             group_masks_per_sec_batched: rate[group_batched],
+            group_masks_per_sec_one_row: rate[group_one_row],
             group_masks_per_sec_one_group: rate[group_one],
             group_masks_per_sec_reference: rate[group_reference],
         }
@@ -1633,11 +1664,13 @@ mod tests {
         } = &summary;
         assert!(kernel.steps_per_sec_batched > 0.0);
         assert!(kernel.steps_per_sec_reference > 0.0);
-        // Both row-group legs are measured. Their ratio is the fallback
-        // guard, but it holds only in release: this debug build reads four
-        // groups in flight at about 0.9x one group per call, so ci.sh
-        // checks `in_flight_speedup` on its release bench run instead.
+        // Every row-group leg is measured. Their ratios are the fallback
+        // guards, but they hold only in release: this debug build reads
+        // four groups in flight at about 0.9x one group per call, so
+        // ci.sh checks `in_flight_speedup` and `one_row_ratio` on its
+        // release bench run instead.
         assert!(kernel.group_masks_per_sec_batched > 0.0);
+        assert!(kernel.group_masks_per_sec_one_row > 0.0);
         assert!(kernel.group_masks_per_sec_one_group > 0.0);
         assert!(kernel.group_masks_per_sec_reference > 0.0);
         assert!(trace.extract_masks_per_sec_bitmap > 0.0);
@@ -1724,6 +1757,8 @@ mod tests {
         assert!(json.contains("steps_per_sec_batched"));
         assert!(json.contains("group_masks_per_sec_one_group"));
         assert!(json.contains("in_flight_speedup"));
+        assert!(json.contains("group_masks_per_sec_one_row"));
+        assert!(json.contains("one_row_ratio"));
         assert!(json.contains("wall_seconds_8_threads"));
         assert!(json.contains("modeled_speedup"));
         assert!(json.contains("extraction_speedup"));
@@ -1743,6 +1778,7 @@ mod tests {
                 steps_per_sec_batched: 5.0e6, // half the baseline: regressed
                 steps_per_sec_reference: 1.0e6,
                 group_masks_per_sec_batched: 2.0e7, // improved
+                group_masks_per_sec_one_row: 1.6e7,
                 group_masks_per_sec_one_group: 1.4e7,
                 group_masks_per_sec_reference: 1.0e7,
             },
@@ -1804,6 +1840,7 @@ mod tests {
                 steps_per_sec_batched: 1.0e7,
                 steps_per_sec_reference: 1.0e6,
                 group_masks_per_sec_batched: 1.0e7,
+                group_masks_per_sec_one_row: 8.0e6,
                 group_masks_per_sec_one_group: 7.0e6,
                 group_masks_per_sec_reference: 1.0e7,
             },
@@ -1880,6 +1917,7 @@ mod tests {
                 steps_per_sec_batched: 1.0,
                 steps_per_sec_reference: 1.0,
                 group_masks_per_sec_batched: 1.0,
+                group_masks_per_sec_one_row: 1.0,
                 group_masks_per_sec_one_group: 1.0,
                 group_masks_per_sec_reference: 1.0,
             },
@@ -1935,6 +1973,7 @@ mod tests {
                 steps_per_sec_batched: 1.0,
                 steps_per_sec_reference: 1.0,
                 group_masks_per_sec_batched: 1.0,
+                group_masks_per_sec_one_row: 1.0,
                 group_masks_per_sec_one_group: 1.0,
                 group_masks_per_sec_reference: 1.0,
             },

@@ -318,6 +318,8 @@ fn bench_smoke_writes_a_perf_report() {
         "\"nproc\"",
         "group_masks_per_sec_one_group",
         "in_flight_speedup",
+        "group_masks_per_sec_one_row",
+        "one_row_ratio",
         "wall_seconds_8_threads",
         "parallel_speedup",
         "modeled_speedup",

@@ -7,6 +7,11 @@
 //! in-code API, and through the CLI with `--scheduler tensordash`
 //! spelled out. Each golden document embeds the spec that produced it,
 //! so the tests re-run exactly that spec.
+//!
+//! Those two run 4-row tiles. The 1- and 2-row goldens were generated by
+//! the binary that still gave every row-group whole packed words, before
+//! row-groups of one and two streams came to share each word: they pin
+//! the segmented in-flight kernel to the bytes of the whole-word one.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -132,4 +137,26 @@ fn recorded_trace_golden_is_byte_identical_pre_and_post_refactor() {
     assert_eq!(rebuilt, committed, "replay diverged from golden");
 
     assert_reproduced_by_cli(&committed, &spec, "golden-replay");
+}
+
+/// A 1-row tile: sixteen one-stream row-groups share the four packed
+/// words of every kernel pass, and each operation has more groups than
+/// fit in flight plus a short last bundle. Byte-identical to the report
+/// of the whole-word kernel.
+#[test]
+fn one_row_golden_is_byte_identical() {
+    let (committed, spec) = golden("one_row_report.json");
+    assert_eq!(spec.chip.tile.rows, 1);
+    assert_reproduced_in_code(&committed, &spec);
+    assert_reproduced_by_cli(&committed, &spec, "golden-one-row");
+}
+
+/// A 2-row tile: eight two-stream row-groups in flight, two to a packed
+/// word. Byte-identical to the report of the whole-word kernel.
+#[test]
+fn two_row_golden_is_byte_identical() {
+    let (committed, spec) = golden("two_row_report.json");
+    assert_eq!(spec.chip.tile.rows, 2);
+    assert_reproduced_in_code(&committed, &spec);
+    assert_reproduced_by_cli(&committed, &spec, "golden-two-row");
 }

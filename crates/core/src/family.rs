@@ -606,8 +606,9 @@ impl SparsityScheduler {
     /// Runs the consecutive lockstep row-groups of `group` streams (the
     /// last may be short) straight out of a flat mask arena of
     /// `arena.len() / rows` back-to-back streams, and returns their summed
-    /// run. The TensorDash member steps up to four groups in flight per
-    /// call; the others run their one-group loop once per group.
+    /// run. The TensorDash member steps several groups in flight per call
+    /// ([`Scheduler::groups_in_flight`]: up to sixteen); the others run
+    /// their one-group loop once per group.
     ///
     /// # Panics
     ///

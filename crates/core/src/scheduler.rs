@@ -32,10 +32,12 @@
 //! also **wide-word**: one pass of straight-line register arithmetic
 //! resolves each `(level, priority)` table entry across a `[u64; 4]` word
 //! group. A row-group of at most four packed words leaves room in that
-//! register group, so `run_masks_arena` keeps `4 / words` independent
-//! row-groups of one call **in flight** — four Table 2 groups of 4 PE rows
-//! at 16 lanes — each with its own pending rows, cursor and drain; a
-//! finished group's words load the call's next group. The scalar per-lane
+//! register group, so `run_masks_arena` keeps several independent
+//! row-groups of one call **in flight** — `4 / words` groups, or, for a
+//! group of at most half a word, groups sharing each word in *segments*
+//! of its slots: 16 groups at 1 PE row, 8 at 2 and 4 at 4 on a 16-lane
+//! PE. Each keeps its own pending rows, cursor and drain; a finished
+//! group's slots load the call's next group. The scalar per-lane
 //! search survives as [`Scheduler::step_masks_reference`] — the golden
 //! model for equivalence tests (same cells consumed, bit for bit, over
 //! random mask streams) and the baseline for the scheduler
@@ -555,14 +557,17 @@ impl Scheduler {
     ///
     /// A group's windows are packed `64 / lanes` to a word (a 16-lane PE
     /// packs four windows per `u64`). While a group takes `w ≤ 4` words,
-    /// `4 / w` groups are stepped in flight through one `[u64; 4]` word
-    /// group — four Table 2 groups of 4 PE rows per pass at 16 lanes — each
-    /// with its own drain; when a group finishes, its words load the next
-    /// one. Wider groups run one at a time in `[u64; 4]` word-group
-    /// strides. Effectual MACs are the popcount of the lane-masked arena:
-    /// row 0 is always cleared and only empty rows drain, so every
-    /// effectual pair is consumed exactly once. Results are bit-identical to
-    /// summing one engine-per-stream run per group
+    /// [`groups_in_flight`](Scheduler::groups_in_flight) groups are
+    /// stepped in flight through one `[u64; 4]` word group, each with its
+    /// own drain: `4 / w` groups with words of their own, or, when a group
+    /// fills at most half a word, several groups sharing each word in
+    /// segments of its slots — sixteen 1-row, eight 2-row or four 4-row
+    /// groups per pass at 16 lanes. When a group finishes, its slots load
+    /// the next one. Wider groups run one at a time in `[u64; 4]`
+    /// word-group strides. Effectual MACs are the popcount of the
+    /// lane-masked arena: row 0 is always cleared and only empty rows
+    /// drain, so every effectual pair is consumed exactly once. Results
+    /// are bit-identical to summing one engine-per-stream run per group
     /// ([`Scheduler::run_masks_batched_reference`]) — groups never
     /// interact, and windows of one group only through the shared drain.
     ///
@@ -589,10 +594,13 @@ impl Scheduler {
             slots: self.packed_slots,
             mask: self.geometry.lane_mask(),
         };
-        let (cycles, scheduler_steps) = match group.div_ceil(self.packed_slots) {
-            1 => self.run_in_flight::<1>(&packing, group),
-            2 => self.run_in_flight::<2>(&packing, group),
-            3 | 4 => self.run_in_flight::<4>(&packing, group),
+        let words = group.div_ceil(self.packed_slots);
+        let (cycles, scheduler_steps) = match (words, self.segments_per_word(group)) {
+            (1, 4) => self.run_in_flight::<1, 4>(&packing, group),
+            (1, 2) => self.run_in_flight::<1, 2>(&packing, group),
+            (1, _) => self.run_in_flight::<1, 1>(&packing, group),
+            (2, _) => self.run_in_flight::<2, 1>(&packing, group),
+            (3 | 4, _) => self.run_in_flight::<4, 1>(&packing, group),
             _ => (0..count)
                 .step_by(group)
                 .fold((0, 0), |(cycles, steps), first| {
@@ -614,56 +622,92 @@ impl Scheduler {
 
     /// How many row-groups of `group` streams one
     /// [`run_masks_arena`](Scheduler::run_masks_arena) pass steps in
-    /// flight together: `4 / w` for a group of `w ≤ 4` packed words, and
-    /// one group at a time past that. On a 16-lane PE that is 4 groups at
-    /// 1–4 rows, 2 at 5–8 rows and 1 from 9 rows up — the number of
-    /// consecutive groups a caller hands over per call to keep every word
-    /// of the register group busy.
+    /// flight together: `4 / w` word units for a group of `w ≤ 4` packed
+    /// words, times the groups that share each word, and one group at a
+    /// time past four words. On a 16-lane PE that is 16 groups at 1 row,
+    /// 8 at 2 rows, 4 at 3–4 rows, 2 at 5–8 rows and 1 from 9 rows up —
+    /// the number of consecutive groups a caller hands over per call to
+    /// keep every slot of the register group busy.
     #[must_use]
     pub fn groups_in_flight(&self, group: usize) -> usize {
-        (4 / group.max(1).div_ceil(self.packed_slots)).max(1)
+        match group.max(1).div_ceil(self.packed_slots) {
+            words @ 1..=4 => 4 / words * self.segments_per_word(group),
+            _ => 1,
+        }
+    }
+
+    /// How many row-groups of `group` streams share one packed word in
+    /// the in-flight loop: `slots / group` rounded down to 1, 2 or 4 (the
+    /// segment counts the loop is compiled for). A 16-lane PE's four slots
+    /// hold four 1-row groups or two 2-row groups; a group of more than
+    /// half a word's slots has its words to itself.
+    fn segments_per_word(&self, group: usize) -> usize {
+        match self.packed_slots / group.max(1) {
+            0 | 1 => 1,
+            2 | 3 => 2,
+            _ => 4,
+        }
     }
 
     /// The in-flight loop of [`Scheduler::run_masks_arena`] for row-groups
-    /// of at most `W ≤ 4` packed words: `4 / W` groups share one
-    /// `[u64; 4]` word group, `W` words each, and every step resolves all
-    /// of them at once. Each in-flight group keeps its own pending rows,
-    /// cursor and drain (the leading rows empty in all of *its* words); a
-    /// finished group's words load the call's next group. While fewer
-    /// than four words are live, only those are stepped, one at a time.
-    /// Returns the cycles and scheduler steps summed over the call's
-    /// groups.
-    fn run_in_flight<const W: usize>(&self, packing: &Packing, group: usize) -> (u64, u64) {
-        let in_flight = 4 / W;
+    /// of at most `W ≤ 4` packed words. The `[u64; 4]` word group splits
+    /// into `4 / W` units of `W` words, and each unit into `S` segments
+    /// of `slots / S` slots, one row-group per segment (`S > 1` only when
+    /// `W = 1`; with `S = 1` a segment is the unit's whole words). Every
+    /// step resolves all `4 S / W` groups at once. Each segment keeps its
+    /// own pending rows, cursor and drain (the leading rows empty in all
+    /// of *its* bits), and a finished segment loads the call's next
+    /// group. While some words hold no live group, only the live ones are
+    /// stepped, one at a time. Returns the cycles and scheduler steps
+    /// summed over the call's groups.
+    fn run_in_flight<const W: usize, const S: usize>(
+        &self,
+        packing: &Packing,
+        group: usize,
+    ) -> (u64, u64) {
+        let units = 4 / W;
         let count = packing.arena.len() / packing.rows;
-        let fill = packing.depth.min(packing.rows);
+        let layout = packing.segments::<S>();
 
         let mut words = [[0u64; MAX_DEPTH]; 4];
         let mut word_full = [0u64; 4];
-        // Per in-flight group: first stream, stream count (0 = idle),
-        // pending rows and the next row to feed.
-        let mut first = [0usize; 4];
-        let mut streams = [0usize; 4];
-        let mut pending = [0usize; 4];
-        let mut cursor = [0usize; 4];
+        let mut segments = [[Segment::default(); S]; 4];
         let mut next = 0usize;
+        // Whether a segment went idle since the last load, and the groups
+        // and streams live in the words (each adds one cycle and one step
+        // per stream to the totals whenever the words are stepped).
+        let mut idle = true;
+        let (mut live_groups, mut live_streams) = (0u64, 0u64);
         let (mut cycles, mut steps) = (0u64, 0u64);
 
         loop {
-            // Every idle slot loads the call's next group. A finished group
-            // has drained all of its rows, so its words are already empty.
-            for g in 0..in_flight {
-                if streams[g] == 0 && next < count {
-                    let n = group.min(count - next);
-                    packing.feed(&mut words[g * W..(g + 1) * W], next, n, 0, 0, fill);
-                    for k in 0..W {
-                        word_full[g * W + k] = packing.word_full(n, k);
+            // Every idle segment loads the call's next group. A finished
+            // group has drained all of its rows, so its bits are already
+            // empty.
+            if idle {
+                for u in 0..units {
+                    for (s, segment) in segments[u].iter_mut().enumerate() {
+                        if segment.streams != 0 || next == count {
+                            continue;
+                        }
+                        let n = group.min(count - next);
+                        *segment = Segment {
+                            first: next,
+                            streams: n,
+                            ..Segment::default()
+                        };
+                        packing.refill(&mut words[u * W..(u + 1) * W], segment, layout.shift[s]);
+                        for k in 0..W {
+                            word_full[u * W + k] |= packing.word_full(n, k) << layout.shift[s];
+                        }
+                        next += n;
+                        live_groups += 1;
+                        live_streams += n as u64;
                     }
-                    (first[g], streams[g], pending[g], cursor[g]) = (next, n, fill, fill);
-                    next += n;
                 }
+                idle = false;
             }
-            if streams.iter().all(|&n| n == 0) {
+            if live_groups == 0 {
                 break;
             }
 
@@ -676,17 +720,28 @@ impl Scheduler {
                     }
                 }
             }
-            for g in 0..in_flight {
-                let n = streams[g];
-                if n == 0 {
+            cycles += live_groups;
+            steps += live_streams;
+            for u in 0..units {
+                // A unit's first word holds a slot of each of its groups.
+                if word_full[u * W] == 0 {
                     continue;
                 }
-                cycles += 1;
-                steps += n as u64;
-                let slot = &mut words[g * W..(g + 1) * W];
-                if packing.advance(slot, first[g], n, &mut pending[g], &mut cursor[g]) {
-                    streams[g] = 0;
-                    word_full[g * W..(g + 1) * W].fill(0);
+                let unit = &mut segments[u];
+                let finished = packing.advance(&mut words[u * W..(u + 1) * W], unit, &layout);
+                if finished == 0 {
+                    continue;
+                }
+                idle = true;
+                for (s, segment) in unit.iter_mut().enumerate() {
+                    if finished & (1 << s) != 0 {
+                        live_groups -= 1;
+                        live_streams -= segment.streams as u64;
+                        segment.streams = 0;
+                        for full in &mut word_full[u * W..(u + 1) * W] {
+                            *full &= !layout.bits[s];
+                        }
+                    }
                 }
             }
         }
@@ -705,14 +760,18 @@ impl Scheduler {
             .collect();
 
         // Initial fill: `depth` rows (or the whole stream if shorter).
-        let mut pending = packing.depth.min(packing.rows);
-        let mut cursor = pending;
-        packing.feed(&mut words, first, streams, 0, 0, pending);
+        let mut segment = [Segment {
+            first,
+            streams,
+            ..Segment::default()
+        }];
+        packing.refill(&mut words, &mut segment[0], 0);
+        let layout = packing.segments::<1>();
         let mut cycles = 0;
         loop {
             self.step_packed(&mut words, &word_full);
             cycles += 1;
-            if packing.advance(&mut words, first, streams, &mut pending, &mut cursor) {
+            if packing.advance(&mut words, &mut segment, &layout) != 0 {
                 return cycles;
             }
         }
@@ -928,8 +987,9 @@ impl Scheduler {
 }
 
 /// Where the streams of one [`Scheduler::run_masks_arena`] call land in
-/// the packed words: stream `j` of a row-group sits in word `j / slots`,
-/// at bit offset `(j % slots) * lanes`.
+/// the packed words: stream `j` of a row-group sits in word `j / slots`
+/// of its unit, at bit offset `(j % slots) * lanes` past its segment's
+/// first slot.
 #[derive(Clone, Copy)]
 struct Packing<'a> {
     arena: &'a [u64],
@@ -940,53 +1000,109 @@ struct Packing<'a> {
     mask: u64,
 }
 
+/// One row-group in flight: where its streams start in the arena, and
+/// how far its window has come.
+#[derive(Clone, Copy, Default)]
+struct Segment {
+    /// Arena index of the group's first stream.
+    first: usize,
+    /// Streams in the group; 0 marks an idle segment.
+    streams: usize,
+    /// Rows resident in the window.
+    pending: usize,
+    /// Next stream row to feed.
+    cursor: usize,
+}
+
+/// Where `S` segments sit in each word of a unit: segment `s` starts at
+/// slot `s * (slots / S)`.
+struct Segments<const S: usize> {
+    /// Bit offset of each segment's first slot.
+    shift: [u32; S],
+    /// Each segment's bits, from its first slot up to the next segment's
+    /// (the last reaches the top of the word, so a lone segment is the
+    /// whole word).
+    bits: [u64; S],
+}
+
 impl Packing<'_> {
-    /// Ends one cycle of a lockstep group: drops the leading rows empty in
-    /// *every* one of its words (at least one — row 0 is always consumed —
-    /// and at most the rows pending), then refills the window from the
-    /// arena. Returns whether the group has drained all of its rows.
-    #[inline]
-    fn advance(
-        &self,
-        words: &mut [[u64; MAX_DEPTH]],
-        first: usize,
-        streams: usize,
-        pending: &mut usize,
-        cursor: &mut usize,
-    ) -> bool {
-        let mut drain = 0;
-        while drain < self.depth && words.iter().all(|w| w[drain] == 0) {
-            drain += 1;
-        }
-        let advance = drain.max(1).min(*pending);
-        *pending -= advance;
-        let refill = (self.depth - *pending).min(self.rows - *cursor);
-        for word in words.iter_mut() {
-            shift_window(word, advance);
-        }
-        self.feed(words, first, streams, *pending, *cursor, refill);
-        *pending += refill;
-        *cursor += refill;
-        *pending == 0
+    /// The layout of `S` segments per word.
+    fn segments<const S: usize>(&self) -> Segments<S> {
+        let width = (self.slots / S) as u32 * self.lanes;
+        let shift: [u32; S] = std::array::from_fn(|s| s as u32 * width);
+        let bits = std::array::from_fn(|s| match shift.get(s + 1) {
+            Some(&end) => (u64::MAX << shift[s]) & !(u64::MAX << end),
+            None => u64::MAX << shift[s],
+        });
+        Segments { shift, bits }
     }
 
-    /// ORs rows `cursor..cursor + len` of the `streams` arena streams from
-    /// `first` on into window rows `at..at + len` of a group's `words`.
-    #[inline]
-    fn feed(
+    /// Ends one cycle of the live row-groups among a unit's `S`
+    /// segments. Per segment, it drops the leading rows empty in all of
+    /// the segment's bits in every word (at least one — row 0 is always
+    /// consumed — and at most the rows pending), then refills the
+    /// segment's window from the arena. With `S > 1` the segments of a
+    /// word drain by different amounts, so each row selects, under
+    /// segment masks, among at most `depth` shifted copies of the word.
+    /// Returns a mask of the segments whose group has drained all of its
+    /// rows. Always inlined: as a call, it cost the whole-word loops
+    /// (3–16 rows at 16 lanes) about 3% of their throughput.
+    #[inline(always)]
+    fn advance<const S: usize>(
         &self,
         words: &mut [[u64; MAX_DEPTH]],
-        first: usize,
-        streams: usize,
-        at: usize,
-        cursor: usize,
-        len: usize,
-    ) {
-        let mut src = first * self.rows + cursor;
-        let mut left = streams;
+        segments: &mut [Segment; S],
+        layout: &Segments<S>,
+    ) -> u32 {
+        let mut advance = [0usize; S];
+        // Per drain amount, the bits of the segments draining it.
+        let mut select = [0u64; MAX_DEPTH + 1];
+        for s in 0..S {
+            if segments[s].streams == 0 {
+                continue;
+            }
+            let bits = layout.bits[s];
+            let mut drain = 0;
+            while drain < self.depth && words.iter().all(|w| w[drain] & bits == 0) {
+                drain += 1;
+            }
+            advance[s] = drain.max(1).min(segments[s].pending);
+            select[advance[s]] |= bits;
+        }
+        for word in words.iter_mut() {
+            if S == 1 {
+                shift_window(word, advance[0]);
+            } else {
+                shift_segments(word, &select);
+            }
+        }
+        let mut finished = 0;
+        for (s, segment) in segments.iter_mut().enumerate() {
+            if segment.streams == 0 {
+                continue;
+            }
+            segment.pending -= advance[s];
+            self.refill(words, segment, layout.shift[s]);
+            if segment.pending == 0 {
+                finished |= 1 << s;
+            }
+        }
+        finished
+    }
+
+    /// Tops a segment's window up to `depth` rows, or to the end of its
+    /// streams: ORs each stream's next rows from the arena into the
+    /// window rows after the pending ones, the segment's first stream at
+    /// bit offset `base` of the first word.
+    #[inline]
+    fn refill(&self, words: &mut [[u64; MAX_DEPTH]], segment: &mut Segment, base: u32) {
+        let at = segment.pending;
+        let len = (self.depth - at).min(self.rows - segment.cursor);
+        let mut src = segment.first * self.rows + segment.cursor;
+        let mut left = segment.streams;
         for word in words {
             for s in 0..left.min(self.slots) {
-                let shift = s as u32 * self.lanes;
+                let shift = base + s as u32 * self.lanes;
                 if len == 1 {
                     // Steady state: a group usually drains (and refills)
                     // one row per cycle.
@@ -1003,6 +1119,8 @@ impl Packing<'_> {
             }
             left = left.saturating_sub(self.slots);
         }
+        segment.pending += len;
+        segment.cursor += len;
     }
 
     /// The active-slot mask of word `k` of a group of `streams` streams
@@ -1020,6 +1138,19 @@ impl Packing<'_> {
 fn shift_window(word: &mut [u64; MAX_DEPTH], advance: usize) {
     for r in 0..MAX_DEPTH {
         word[r] = word.get(r + advance).copied().unwrap_or(0);
+    }
+}
+
+/// [`shift_window`] for a word whose segments drain different amounts:
+/// `select[a]` holds the bits of the segments dropping `a` rows, so row
+/// `r` of the result takes row `r + a` under `select[a]`, for every `a`.
+#[inline]
+fn shift_segments(word: &mut [u64; MAX_DEPTH], select: &[u64; MAX_DEPTH + 1]) {
+    let old = *word;
+    for (r, row) in word.iter_mut().enumerate() {
+        *row = (1..=MAX_DEPTH).fold(0, |acc, a| {
+            acc | (old.get(r + a).copied().unwrap_or(0) & select[a])
+        });
     }
 }
 
@@ -1338,11 +1469,14 @@ mod tests {
         // repository models. One-group calls hit one stream, a partial
         // packed word, one full word, exactly one `[u64; 4]` word group
         // and a word group plus a one-word tail, at every density level.
-        // Multi-group calls add group widths of a word plus one stream and
-        // two words, and group counts of one group, all groups in flight,
-        // and groups reloading into finished words, each call with a short
-        // last group. Lengths hit a single row, a few window fills and a
-        // long run.
+        // Multi-group calls add group widths of one and two streams and
+        // half a word, which share words in segments, a word plus one
+        // stream and two words, and group counts of one group, all groups
+        // in flight, and groups reloading into finished words, each call
+        // with a short last group. Widths that share a word also run 17
+        // and 33 groups, more than fit in flight, so finished segments
+        // refill beside live ones. Lengths hit a single row, a few window
+        // fills and a long run.
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let spec = ConnectivitySpec::custom(vec![(2, 5), (1, 2), (1, -1), (2, -7)]).unwrap();
         let mut schedulers: Vec<Scheduler> = [
@@ -1411,11 +1545,29 @@ mod tests {
             // of the geometry, width, group-count and length indices, so
             // every (width, rows) pair meets all seven levels across the
             // geometries.
-            let widths = [1, 3, slots, slots + 1, 2 * slots, 4 * slots, 4 * slots + 1];
-            for (wi, width) in widths.into_iter().enumerate() {
-                for (gi, groups) in [1usize, 2, 4, 5, 9].into_iter().enumerate() {
+            let widths = [
+                1,
+                2,
+                3,
+                slots / 2,
+                slots,
+                slots + 1,
+                2 * slots,
+                4 * slots,
+                4 * slots + 1,
+            ];
+            for (wi, width) in widths.into_iter().enumerate().filter(|&(_, w)| w > 0) {
+                let counts: &[usize] = if 2 * width <= slots {
+                    &[1, 2, 4, 5, 9, 17, 33]
+                } else {
+                    &[1, 2, 4, 5, 9]
+                };
+                for (gi, &groups) in counts.iter().enumerate() {
                     let count = width * (groups - 1) + width.div_ceil(2);
-                    for (ri, rows) in [1usize, 17, 257].into_iter().enumerate() {
+                    // Calls of more groups than fit in flight skip the
+                    // long run: their segments refill all the same.
+                    let lengths: &[usize] = if groups > 9 { &[1, 17] } else { &[1, 17, 257] };
+                    for (ri, &rows) in lengths.iter().enumerate() {
                         let level = ((si + wi + gi + ri) % 7) as u32;
                         let arena = make_arena(count, width, rows, level);
                         let mut expected = BatchRun::default();

@@ -11,7 +11,8 @@
 //! The sampled window groups are handed to the tile in **bundles** of as
 //! many consecutive tile row-groups as the kernel steps in flight
 //! ([`SparsityScheduler::groups_in_flight`](tensordash_core::SparsityScheduler::groups_in_flight)
-//! for the tile's rows: four at 1–4 tile rows on the 16-lane PE, two at 8,
+//! for the tile's rows: sixteen at 1 tile row and eight at 2 on the
+//! 16-lane PE, where row-groups share packed words, four at 3–4, two at 8,
 //! one at 16), each one [`Tile::run_group_arena`] call straight out of
 //! the trace's mask arena. The call executes the whole lockstep loop
 //! inside the batched scheduler kernel
@@ -458,9 +459,10 @@ mod tests {
     }
 
     /// A bundle holds as many row-groups as the tile's kernel steps in
-    /// flight: on the 16-lane PE, four groups (4 windows) at 1 tile row,
-    /// four (16) at 4 rows, two (16) at 8 rows and one (16) at 16 rows;
-    /// a member that runs one group at a time gets one group per bundle.
+    /// flight: on the 16-lane PE, sixteen groups (16 windows) at 1 tile
+    /// row, eight (16) at 2 rows, four (12 and 16) at 3 and 4 rows, two
+    /// (10 and 16) at 5 and 8 rows and one at 9 and 16 rows; a member
+    /// that runs one group at a time gets one group per bundle.
     #[test]
     fn bundles_hold_the_groups_in_flight() {
         let dims = ConvDims::conv_square(4, 64, 14, 64, 3, 1, 1);
@@ -472,16 +474,16 @@ mod tests {
             3,
         );
         let td = SchedulerKind::TensorDash;
-        for (kind, rows, bundles) in [
-            (td, 1, 12),
-            (td, 2, 6),
-            (td, 3, 4),
-            (td, 4, 3),
-            (td, 5, 5),
-            (td, 8, 3),
-            (td, 9, 6),
-            (td, 16, 3),
-            (SchedulerKind::TwoToFour, 4, 12),
+        for (kind, rows, in_flight, bundles) in [
+            (td, 1, 16, 3),
+            (td, 2, 8, 3),
+            (td, 3, 4, 4),
+            (td, 4, 4, 3),
+            (td, 5, 2, 5),
+            (td, 8, 2, 3),
+            (td, 9, 1, 6),
+            (td, 16, 1, 3),
+            (SchedulerKind::TwoToFour, 4, 1, 12),
         ] {
             let tile = Tile::with_scheduler(
                 TileConfig {
@@ -489,6 +491,11 @@ mod tests {
                     ..ChipConfig::paper().tile
                 },
                 kind,
+            );
+            assert_eq!(
+                tile.scheduler().groups_in_flight(rows),
+                in_flight,
+                "{kind} at {rows} rows"
             );
             let plan = SampledPlan::new(&tile, &op);
             assert_eq!(plan.bundles(), bundles, "{kind} at {rows} rows");

@@ -7,7 +7,7 @@
 //! wrapper. Its work items are *(layer, op, bundle)* triples, a bundle
 //! being the consecutive tile row-groups of one operation that the
 //! scheduler kernel steps in flight together in one tile call (up to
-//! four; [`SparsityScheduler::groups_in_flight`](tensordash_core::SparsityScheduler::groups_in_flight)).
+//! sixteen; [`SparsityScheduler::groups_in_flight`](tensordash_core::SparsityScheduler::groups_in_flight)).
 
 use crate::config::ChipConfig;
 use crate::exec::{self, ExecMode, OpSim};
@@ -21,7 +21,7 @@ use tensordash_trace::OpTrace;
 /// A cooperative cancellation signal for long simulations: an explicit
 /// flag, an optional wall-clock deadline, or both. Workers consult it at
 /// *(layer, op, bundle)* work-item boundaries — a fired token stops a
-/// batch before its next item, never mid-item (a bundle is up to four
+/// batch before its next item, never mid-item (a bundle is up to sixteen
 /// tile row-groups in one kernel call), so partial results are simply
 /// discarded and nothing half-built escapes.
 ///
@@ -207,7 +207,7 @@ impl Simulator {
     /// *(group, operation, bundle)* triple is one work item, and workers
     /// claim items off a shared atomic index as they finish. A bundle is
     /// as many consecutive tile row-groups of the operation's arena as the
-    /// kernel steps in flight (up to four;
+    /// kernel steps in flight (up to sixteen;
     /// [`SparsityScheduler::groups_in_flight`](tensordash_core::SparsityScheduler::groups_in_flight)),
     /// priced by one [`Tile::run_group_arena`] call that steps them in
     /// flight together. A batch of many small
@@ -425,14 +425,21 @@ mod tests {
     /// One big operation must shard into several bundles of tile
     /// row-groups (the intra-run parallelism path) and still reduce to the
     /// same bytes as the serial per-group loop at every thread count — the
-    /// bundled reduction is exact `u64` sums, not floats. The second
-    /// operation's last row-group is short (37 windows on 4 tile rows) and
-    /// its 10 groups are not a multiple of the bundle size.
+    /// bundled reduction is exact `u64` sums, not floats. On 4 tile rows
+    /// the second operation's last row-group is short (37 windows) and
+    /// its 10 groups are not a multiple of the bundle size. On 1 and 2
+    /// rows, where row-groups share packed words, 37 windows are 37 and
+    /// 19 groups: two full bundles of 16 or 8 and a short third.
     #[test]
     fn intra_run_sharding_is_thread_count_invariant() {
-        let sim = Simulator::paper();
         let dims = ConvDims::conv_square(4, 64, 14, 64, 3, 1, 1);
-        for (windows, bundles, seed) in [(64, 4, 0x51AB), (37, 3, 0x7A11)] {
+        for (rows, windows, bundles, seed) in [
+            (4, 64, 4, 0x51AB),
+            (4, 37, 3, 0x7A11),
+            (1, 37, 3, 0x1A11),
+            (2, 37, 3, 0x2A11),
+        ] {
+            let sim = Simulator::new(ChipConfig::builder().rows(rows).build().unwrap());
             let op = UniformSparsity::new(0.6).op_trace(
                 dims,
                 TrainingOp::Forward,
@@ -445,7 +452,7 @@ mod tests {
             assert_eq!(
                 plan.bundles(),
                 bundles,
-                "the single op must split into multiple work items"
+                "the single op must split into multiple work items at {rows} rows"
             );
             let sampled = exec::run_sampled_per_group(&sim.tile, &op);
             let (tensordash, baseline) = exec::finish_pair(sim.chip(), &sim.tile, &op, &sampled);
@@ -470,7 +477,7 @@ mod tests {
                 let got = batch(&sim.clone().with_threads(threads), &groups);
                 assert_eq!(
                     got, per_group,
-                    "{windows} windows: {threads} workers diverged"
+                    "{windows} windows on {rows} rows: {threads} workers diverged"
                 );
             }
         }

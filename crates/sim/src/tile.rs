@@ -14,7 +14,8 @@
 //! call covers one or more consecutive row-groups of the tile's rows — for
 //! the default TensorDash member, bit-exact with (and much faster than)
 //! driving one [`RowEngine`](tensordash_core::RowEngine) per row step by
-//! step, and stepping up to four row-groups in flight per kernel pass.
+//! step, and stepping several row-groups in flight per kernel pass (up
+//! to sixteen 1-row groups, which share packed words).
 //! [`Tile::with_scheduler`] swaps in any other member of the scheduler
 //! family over the same mask windows.
 

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tensordash_core::PeGeometry;
-use tensordash_sim::{ChipConfig, Simulator, Tile, TileConfig};
+use tensordash_sim::{ChipConfig, GroupRun, Simulator, Tile, TileConfig};
 use tensordash_trace::{
     ClusteredSparsity, ConvDims, SampleSpec, SparsityGen, TrainingOp, UniformSparsity,
 };
@@ -20,18 +20,24 @@ proptest! {
 
     /// Tile invariant: cycles are bounded by the dense stream length below
     /// and by the depth-limited minimum above, and every effectual slot is
-    /// processed exactly once.
+    /// processed exactly once. At 1 and 2 rows a call carries up to 40
+    /// row-groups, more than the kernel steps in flight in shared packed
+    /// words: the bounds hold per group, and the call equals the sum of
+    /// one call per group.
     #[test]
     fn tile_group_bounds(
         seed in any::<u64>(),
         density in 0.0f64..1.0,
         rows in 1usize..=16,
+        drawn_groups in 1usize..=40,
         len in 1usize..300,
     ) {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(seed);
-        // `rows` streams of `len` masks, back to back in one arena.
-        let arena: Vec<u64> = (0..rows * len)
+        let groups = if rows <= 2 { drawn_groups } else { 1 };
+        // `groups` row-groups of `rows` streams of `len` masks, back to
+        // back in one arena.
+        let arena: Vec<u64> = (0..groups * rows * len)
             .map(|_| {
                 let mut m = 0u64;
                 for lane in 0..16 {
@@ -42,12 +48,24 @@ proptest! {
                 m
             })
             .collect();
-        let run = tile(rows).run_group_arena(&arena, rows, len);
-        prop_assert!(run.cycles <= len as u64, "slower than dense");
-        prop_assert!(run.cycles >= (len as u64).div_ceil(3), "beat the depth limit");
+        let tile = tile(rows);
+        let run = tile.run_group_arena(&arena, groups * rows, len);
+        let (groups, len) = (groups as u64, len as u64);
+        prop_assert!(run.cycles <= groups * len, "slower than dense");
+        prop_assert!(run.cycles >= groups * len.div_ceil(3), "beat the depth limit");
         let effectual: u64 = arena.iter().map(|m| u64::from(m.count_ones())).sum();
         prop_assert_eq!(run.macs_per_column, effectual);
         prop_assert_eq!(run.scheduler_steps, run.cycles * rows as u64);
+        let parts: Vec<GroupRun> = arena
+            .chunks(rows * len as usize)
+            .map(|group| tile.run_group_arena(group, rows, len as usize))
+            .collect();
+        prop_assert_eq!(run.cycles, parts.iter().map(|p| p.cycles).sum::<u64>());
+        prop_assert_eq!(run.dense_cycles, parts.iter().map(|p| p.dense_cycles).sum::<u64>());
+        prop_assert_eq!(
+            run.scheduler_steps,
+            parts.iter().map(|p| p.scheduler_steps).sum::<u64>()
+        );
     }
 
     /// Chip invariant: TensorDash never needs more compute cycles than the
