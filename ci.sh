@@ -158,10 +158,25 @@ job_url="$(curl -sf -X POST "$serve_url/v1/experiments" -d \
 # 5 s), so the first GET, with no sleep before it, must return the
 # report, and /metrics must count the wait: a silent fallback to an
 # immediate 202 fails here.
-report="$(curl -s "$serve_url$job_url")"
-echo "$report" | grep -q '"ci-serve"' \
-  || { echo "first report GET did not wait for the job: $report"; exit 1; }
-echo "$report" | grep -q '"scheduler": "2to4"' || { echo "served report lost its scheduler"; exit 1; }
+curl -s "$serve_url$job_url" > "$train_dir/served.json"
+grep -q '"ci-serve"' "$train_dir/served.json" \
+  || { echo "first report GET did not wait for the job: $(cat "$train_dir/served.json")"; exit 1; }
+grep -q '"scheduler": "2to4"' "$train_dir/served.json" || { echo "served report lost its scheduler"; exit 1; }
+# The served report is the one-shot CLI's report for the same spec, byte
+# for byte (both are written by the direct report writer).
+cat > "$train_dir/serve.toml" <<'SERVE_TOML'
+name = "ci-serve"
+models = ["AlexNet"]
+[chip]
+tiles = 1
+scheduler = "2to4"
+[eval.sample]
+max_windows = 1024
+max_rows = 4096
+SERVE_TOML
+./target/release/tensordash --config "$train_dir/serve.toml" \
+  --out "$train_dir/cli-serve.json" >/dev/null
+cmp "$train_dir/served.json" "$train_dir/cli-serve.json"
 curl -sf "$serve_url/metrics" > "$train_dir/metrics.json"
 grep -q '"evictions"' "$train_dir/metrics.json"
 grep -Eq '"waits": [1-9]' "$train_dir/metrics.json" \
@@ -228,7 +243,7 @@ timeout 5 tail --pid="$chaos_pid" -f /dev/null \
 wait "$chaos_pid" || { echo "chaos serve did not exit cleanly after SIGTERM"; exit 1; }
 grep -q "shut down cleanly" "$chaos_log"
 
-step "tensordash bench --smoke --baseline BENCH_14.json"
+step "tensordash bench --smoke --baseline BENCH_15.json"
 bench_report="$(mktemp -t tensordash-bench-XXXXXX.json)"
 trap 'kill "$serve_pid" "$chaos_pid" 2>/dev/null || true; rm -f "$smoke_config" "$smoke_report" "$serve_log" "$chaos_log" "$bench_report"; rm -rf "$train_dir" "$chaos_dir"' EXIT
 # The committed baseline gates kernel + source + store + service
@@ -245,7 +260,7 @@ trap 'kill "$serve_pid" "$chaos_pid" 2>/dev/null || true; rm -f "$smoke_config" 
 # baseline's absolute rates reflect the machine that committed it — on
 # substantially slower hardware, commit a fresh full `tensordash bench`
 # run as the next BENCH_<n>.json rather than loosening the gate.
-./target/release/tensordash bench --smoke --baseline BENCH_14.json --out "$bench_report"
+./target/release/tensordash bench --smoke --baseline BENCH_15.json --out "$bench_report"
 grep -q '"step_speedup"' "$bench_report"
 grep -q '"nproc"' "$bench_report"
 # Four row-groups in flight per kernel call must beat one group per
@@ -268,6 +283,14 @@ grep -q '"group_masks_per_sec_one_row"' "$bench_report"
 one_row="$(sed -n 's/.*"one_row_ratio": *\([0-9.eE+-]*\).*/\1/p' "$bench_report")"
 awk -v r="$one_row" 'BEGIN { exit !(r >= 0.6) }' \
   || { echo "1-row groups read ${one_row}x the 4-row rate (need >= 0.6x)"; exit 1; }
+# The report writer must beat building the `Value` tree and walking it
+# over the same document, so a silent fallback to the tree (about 1.0x)
+# fails here. Twenty release smoke runs read 1.67-1.83 on a 2-core
+# x86-64 host, and a build whose `json::write` walks the tree 0.90-0.93.
+grep -q '"report_bytes_per_sec_tree"' "$bench_report"
+direct="$(sed -n 's/.*"direct_speedup": *\([0-9.eE+-]*\).*/\1/p' "$bench_report")"
+awk -v r="$direct" 'BEGIN { exit !(r >= 1.3) }' \
+  || { echo "the direct report writer read ${direct}x the tree path (need >= 1.3x)"; exit 1; }
 grep -q '"parallel_speedup"' "$bench_report"
 grep -q '"extraction_speedup"' "$bench_report"
 grep -q '"cycles_per_second"' "$bench_report"

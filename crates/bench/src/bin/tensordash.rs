@@ -22,7 +22,7 @@ use std::time::Duration;
 use tensordash_bench::experiment::{self, ExperimentSpec};
 use tensordash_bench::harness::TraceCache;
 use tensordash_bench::{loadtest, service, train};
-use tensordash_serde::Value;
+use tensordash_serde::{Serialize, Value};
 use tensordash_sim::{ModelReport, SchedulerKind};
 
 const USAGE: &str = "\
@@ -333,6 +333,12 @@ fn run_bench(args: &[String]) -> Result<(), String> {
         summary.store.load_masks_per_sec / summary.source.replay_masks_per_sec,
         summary.store.pack_bytes_per_sec,
         summary.store.binary_over_json_bytes
+    );
+    println!(
+        "serde:  {:.2e} report B/s direct, {:.2e} through the tree ({:.2}x)",
+        summary.serde.report_bytes_per_sec,
+        summary.serde.report_bytes_per_sec_tree,
+        summary.serde.direct_speedup()
     );
     for model in &summary.models {
         println!(
@@ -890,7 +896,7 @@ fn run_comparison(
     let members: Vec<Value> = runs
         .iter()
         .map(|(kind, spec_k, reports)| {
-            let mut doc = spec_k.report_document(reports);
+            let mut doc = spec_k.report_document(reports).serialize();
             if let Value::Table(fields) = &mut doc {
                 fields.insert(
                     0,
@@ -909,7 +915,11 @@ fn run_comparison(
 
 /// Writes a report document to `--out` when given, or to the results
 /// directory under `<name>.json` otherwise.
-fn write_report(out: Option<&str>, name: &str, document: &Value) -> Result<(), String> {
+fn write_report<T: Serialize + ?Sized>(
+    out: Option<&str>,
+    name: &str,
+    document: &T,
+) -> Result<(), String> {
     match out {
         Some(path) => {
             std::fs::write(path, tensordash_serde::json::write(document))

@@ -26,7 +26,8 @@ use crate::harness::{EvalAbort, ModelEval, TraceCache};
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
-use tensordash_models::{gcn, paper_models, vit_l_mlp, ModelSpec};
+use tensordash_models::{paper_models, zoo, ModelSpec};
+use tensordash_serde::json::TableWriter;
 use tensordash_serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use tensordash_sim::{CancelToken, ChipConfig, EvalSpec, ModelReport, Simulator, TraceSourceSpec};
 use tensordash_store::TraceStore;
@@ -213,10 +214,8 @@ impl ExperimentSpec {
         }
         let mut resolved: Vec<ModelSpec> = Vec::with_capacity(self.models.len());
         for name in &self.models {
-            let model = zoo_models()
-                .into_iter()
-                .find(|m| m.name.eq_ignore_ascii_case(name))
-                .ok_or_else(|| ExperimentError::UnknownModel(name.clone()))?;
+            let model =
+                zoo::by_name(name).ok_or_else(|| ExperimentError::UnknownModel(name.clone()))?;
             if resolved.iter().any(|m| m.name == model.name) {
                 return Err(ExperimentError::DuplicateModel(model.name));
             }
@@ -363,34 +362,64 @@ impl ExperimentSpec {
     }
 
     /// Packages the spec and its reports as one self-describing document —
-    /// what the CLI writes as JSON.
+    /// what the CLI writes as JSON and the service serves.
+    /// `json::write(&spec.report_document(&reports))` writes the text
+    /// directly; [`serialize`](Serialize::serialize) gives the same
+    /// document as a [`Value`] tree.
     #[must_use]
-    pub fn report_document(&self, reports: &[ModelReport]) -> Value {
+    pub fn report_document<'a>(&'a self, reports: &'a [ModelReport]) -> ReportDocument<'a> {
+        ReportDocument {
+            spec: self,
+            reports,
+        }
+    }
+}
+
+/// An experiment's report document, borrowing its spec and reports: the
+/// `experiment` spec, a `total_speedup` table keyed by model name, and the
+/// full `reports` ([`ExperimentSpec::report_document`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ReportDocument<'a> {
+    spec: &'a ExperimentSpec,
+    reports: &'a [ModelReport],
+}
+
+impl Serialize for ReportDocument<'_> {
+    fn serialize(&self) -> Value {
         let summary = Value::Table(
-            reports
+            self.reports
                 .iter()
                 .map(|r| (r.name.clone(), Value::Float(r.total_speedup())))
                 .collect(),
         );
         Value::Table(vec![
-            ("experiment".to_string(), self.serialize()),
+            ("experiment".to_string(), self.spec.serialize()),
             ("total_speedup".to_string(), summary),
-            (
-                "reports".to_string(),
-                Value::Array(reports.iter().map(Serialize::serialize).collect()),
-            ),
+            ("reports".to_string(), self.reports.serialize()),
         ])
+    }
+
+    fn write_json(&self, indent: usize, out: &mut String) {
+        let mut document = TableWriter::new(indent, out);
+        document.field("experiment", self.spec);
+        document.entry("total_speedup", |indent, out| {
+            let mut summary = TableWriter::new(indent, out);
+            for report in self.reports {
+                summary.field(&report.name, &report.total_speedup());
+            }
+            summary.finish();
+        });
+        document.field("reports", self.reports);
+        document.finish();
     }
 }
 
-/// Every model name the zoo can resolve: the eight paper models, the
-/// GCN guard-rail case, and the transformer-scale ViT-L MLP block.
+/// Every model the zoo can resolve, in [`zoo::ZOO`] order: the eight
+/// paper models, the GCN guard-rail case, and the transformer-scale ViT-L
+/// MLP block.
 #[must_use]
 pub fn zoo_models() -> Vec<ModelSpec> {
-    let mut models = paper_models();
-    models.push(gcn());
-    models.push(vit_l_mlp());
-    models
+    zoo::ZOO.iter().map(|(_, build)| build()).collect()
 }
 
 /// Why an experiment could not run.
@@ -413,7 +442,7 @@ impl fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExperimentError::UnknownModel(name) => {
-                let known: Vec<String> = zoo_models().into_iter().map(|m| m.name).collect();
+                let known: Vec<&str> = zoo::ZOO.iter().map(|(known, _)| *known).collect();
                 write!(f, "unknown model `{name}` (known: {})", known.join(", "))
             }
             ExperimentError::DuplicateModel(name) => {
@@ -479,7 +508,10 @@ impl Deserialize for ExperimentSpec {
 /// # Errors
 ///
 /// Returns the underlying I/O error on write failure.
-pub fn write_json_report(file_name: &str, document: &Value) -> std::io::Result<PathBuf> {
+pub fn write_json_report<T: Serialize + ?Sized>(
+    file_name: &str,
+    document: &T,
+) -> std::io::Result<PathBuf> {
     let safe: String = file_name
         .chars()
         .map(|c| {
@@ -666,8 +698,11 @@ mod tests {
     fn unknown_models_are_reported_with_the_zoo() {
         let spec = ExperimentSpec::new("x").with_models(["NoSuchNet"]);
         let err = spec.run().unwrap_err();
-        assert!(err.to_string().contains("NoSuchNet"), "{err}");
-        assert!(err.to_string().contains("AlexNet"), "{err}");
+        assert_eq!(
+            err.to_string(),
+            "unknown model `NoSuchNet` (known: AlexNet, DenseNet121, SqueezeNet, VGG16, \
+             img2txt, resnet50_DS90, resnet50_SM90, SNLI, GCN, ViT-L-MLP)"
+        );
     }
 
     #[test]
@@ -742,10 +777,45 @@ mod tests {
             .with_models(["AlexNet"])
             .with_eval(EvalSpec::builder().streams(4, 32).build().unwrap());
         let reports = spec.run().unwrap();
-        let doc = spec.report_document(&reports);
+        let doc = spec.report_document(&reports).serialize();
         assert!(doc.get("experiment").is_some());
         assert_eq!(doc.get("reports").unwrap().as_array().unwrap().len(), 1);
         let speedup = doc.get("total_speedup").unwrap().get("AlexNet").unwrap();
         assert!(speedup.as_float().unwrap() > 1.0);
+    }
+
+    /// The document's direct writer emits exactly its tree's bytes: for a
+    /// real spec's reports, an empty report list, and reports whose names
+    /// (the `total_speedup` keys) need escaping, at the top level and
+    /// nested.
+    #[test]
+    fn report_documents_write_the_tree_bytes() {
+        use tensordash_serde::json;
+        use tensordash_sim::LayerReport;
+        let spec = ExperimentSpec::new("doc \"quoted\" ✓")
+            .with_models(["AlexNet", "GCN"])
+            .with_eval(EvalSpec::builder().streams(4, 32).build().unwrap());
+        let reports = spec.run().unwrap();
+        let odd = [
+            ModelReport {
+                name: "q\"b\\s\n\u{1}ü".into(),
+                layers: vec![],
+            },
+            ModelReport {
+                name: String::new(),
+                layers: vec![LayerReport {
+                    label: "empty ops".into(),
+                    ops: vec![],
+                }],
+            },
+        ];
+        for reports in [&reports[..], &[], &reports[1..], &odd[..]] {
+            let doc = spec.report_document(reports);
+            assert_eq!(json::write(&doc), json::write(&doc.serialize()));
+            let (mut direct, mut tree) = (String::new(), String::new());
+            doc.write_json(2, &mut direct);
+            doc.serialize().write_json(2, &mut tree);
+            assert_eq!(direct, tree);
+        }
     }
 }

@@ -39,7 +39,7 @@ pub mod service;
 pub mod train;
 
 pub use csvout::{results_path, write_csv};
-pub use experiment::{ExperimentError, ExperimentSpec, NamedExperiment};
+pub use experiment::{ExperimentError, ExperimentSpec, NamedExperiment, ReportDocument};
 pub use harness::{
     EvalSpec, ModelEval, ModelTraces, TraceCache, TraceCacheStats, DEFAULT_CACHE_CAPACITY,
 };

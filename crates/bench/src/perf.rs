@@ -33,6 +33,10 @@
 //!   workload: v2 pack (encode) throughput and binary-artifact replay
 //!   (decode + `layer_ops`) throughput, directly comparable to
 //!   `source.replay_masks_per_sec` (the JSON leg);
+//! * **serde** — report serialization: one fixed report document (the
+//!   `service_mix` request's three models at 2 windows × 16 rows)
+//!   written by the direct writer and, for comparison, through its
+//!   `Value` tree (same bytes);
 //! * **service** — traffic throughput of an in-process `tensordash
 //!   serve` (with a content-addressed trace store attached) under the
 //!   deterministic `loadtest` mix, including the upload + stored-replay
@@ -54,6 +58,7 @@
 //! diffs the run against a committed baseline, failing on throughput
 //! regressions (see [`diff_against_baseline`]).
 
+use crate::experiment::ExperimentSpec;
 use crate::harness::{ModelEval, TraceCache};
 use crate::train::{capture_training, TrainOptions};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -66,7 +71,7 @@ use tensordash_core::{
     PeGeometry, Scheduler, SchedulerKind, SparsityScheduler, StepOutcome, MAX_DEPTH,
 };
 use tensordash_models::paper_models;
-use tensordash_serde::{Serialize, Value};
+use tensordash_serde::{json, Serialize, Value};
 use tensordash_sim::{ChipConfig, EvalSpec, Simulator};
 use tensordash_tensor::Tensor;
 use tensordash_trace::{
@@ -220,6 +225,28 @@ pub struct StoreBench {
     pub binary_over_json_bytes: f64,
 }
 
+/// Report serialization throughput over one fixed report document: the
+/// AlexNet, SqueezeNet and GCN reports of the `service_mix` requests (2
+/// windows × 16 rows), identical in the smoke and full variants.
+#[derive(Debug, Clone, Copy)]
+pub struct SerdeBench {
+    /// Report bytes per second through `json::write(&document)`, the
+    /// direct writer every report consumer calls.
+    pub report_bytes_per_sec: f64,
+    /// Report bytes per second through the `Value` tree: build it, then
+    /// walk it (the bytes of `json::write(&document.serialize())`).
+    pub report_bytes_per_sec_tree: f64,
+}
+
+impl SerdeBench {
+    /// Direct over tree-path throughput: about 1.0 if the direct writer
+    /// falls back to the tree.
+    #[must_use]
+    pub fn direct_speedup(&self) -> f64 {
+        self.report_bytes_per_sec / self.report_bytes_per_sec_tree
+    }
+}
+
 /// One model's end-to-end evaluation measurement.
 #[derive(Debug, Clone)]
 pub struct ModelBench {
@@ -319,6 +346,8 @@ pub struct BenchSummary {
     pub source: SourceBench,
     /// Binary trace-store measurements (v2 pack, binary replay).
     pub store: StoreBench,
+    /// Report serialization measurements (direct writer vs tree).
+    pub serde: SerdeBench,
     /// Per-model end-to-end measurements.
     pub models: Vec<ModelBench>,
     /// Intra-run sharding measurement (one big model, 1 vs 8 threads).
@@ -438,6 +467,20 @@ impl BenchSummary {
                 Value::Float(self.store.binary_over_json_bytes),
             ),
         ]);
+        let serde = Value::Table(vec![
+            (
+                "report_bytes_per_sec".into(),
+                Value::Float(self.serde.report_bytes_per_sec),
+            ),
+            (
+                "report_bytes_per_sec_tree".into(),
+                Value::Float(self.serde.report_bytes_per_sec_tree),
+            ),
+            (
+                "direct_speedup".into(),
+                Value::Float(self.serde.direct_speedup()),
+            ),
+        ]);
         let models = Value::Array(
             self.models
                 .iter()
@@ -525,6 +568,7 @@ impl BenchSummary {
             ("trace".into(), trace),
             ("source".into(), source),
             ("store".into(), store),
+            ("serde".into(), serde),
             ("models".into(), models),
             ("sharding".into(), sharding),
             ("service".into(), service),
@@ -1001,6 +1045,43 @@ fn bench_store(sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> StoreBench {
         load_masks_per_sec: rate[load],
         pack_bytes_per_sec: rate[pack],
         binary_over_json_bytes,
+    }
+}
+
+/// Registers the report-serialization legs, adjacent so each round times
+/// them back to back: the direct writer, then the tree path, over the
+/// same document (their bytes are checked equal once, up front). The
+/// tree leg calls the walk itself rather than `json::write`, so a
+/// `json::write` that stops dispatching to the direct writers reads
+/// about 1.0 as well.
+fn bench_serde(sampler: &mut Sampler) -> impl FnOnce(&[f64]) -> SerdeBench {
+    let spec = ExperimentSpec::new("bench-serde")
+        .with_models(["AlexNet", "SqueezeNet", "GCN"])
+        .with_eval(EvalSpec {
+            sample: SampleSpec::new(2, 16),
+            ..EvalSpec::sweep()
+        });
+    let reports = spec.run().expect("the bench spec names zoo models");
+    let text = json::write(&spec.report_document(&reports));
+    assert_eq!(
+        text,
+        json::write(&spec.report_document(&reports).serialize()),
+        "the direct report writer must write the tree's bytes"
+    );
+    let bytes = text.len() as f64;
+    let (tree_spec, tree_reports) = (spec.clone(), reports.clone());
+    let direct = sampler.leg(bytes, move || {
+        black_box(json::write(&spec.report_document(&reports)));
+    });
+    let tree = sampler.leg(bytes, move || {
+        let mut text = String::new();
+        let document = tree_spec.report_document(&tree_reports).serialize();
+        document.write_json(0, &mut text);
+        black_box(text);
+    });
+    move |rate| SerdeBench {
+        report_bytes_per_sec: rate[direct],
+        report_bytes_per_sec_tree: rate[tree],
     }
 }
 
@@ -1507,6 +1588,7 @@ pub fn run(options: &BenchOptions) -> std::io::Result<(PathBuf, BenchSummary)> {
     let trace = bench_trace(options.smoke, &mut sampler);
     let source = bench_source(&mut sampler);
     let store = bench_store(&mut sampler);
+    let serde = bench_serde(&mut sampler);
     let models = bench_models(options.smoke, &mut sampler);
     let sharding = bench_sharding(options.smoke, &mut sampler);
     let service = bench_service(options.smoke, &mut sampler);
@@ -1519,6 +1601,7 @@ pub fn run(options: &BenchOptions) -> std::io::Result<(PathBuf, BenchSummary)> {
         trace: trace(&rate),
         source: source(&rate),
         store: store(&rate),
+        serde: serde(&rate),
         models: models(&rate),
         sharding: sharding(&rate),
         service: service(&rate),
@@ -1528,7 +1611,7 @@ pub fn run(options: &BenchOptions) -> std::io::Result<(PathBuf, BenchSummary)> {
         total_wall_seconds: start.elapsed().as_secs_f64(),
     };
     let path = options.out.clone().unwrap_or_else(next_bench_path);
-    std::fs::write(&path, tensordash_serde::json::write(&summary.document()))?;
+    std::fs::write(&path, json::write(&summary.document()))?;
     Ok((path, summary))
 }
 
@@ -1564,6 +1647,13 @@ mod tests {
             load_masks_per_sec: 5.0e7,
             pack_bytes_per_sec: 5.0e8,
             binary_over_json_bytes: 0.2,
+        }
+    }
+
+    fn fixed_serde() -> SerdeBench {
+        SerdeBench {
+            report_bytes_per_sec: 6.0e8,
+            report_bytes_per_sec_tree: 3.0e8,
         }
     }
 
@@ -1658,6 +1748,7 @@ mod tests {
             trace,
             source,
             store,
+            serde,
             service,
             schedulers,
             ..
@@ -1696,6 +1787,8 @@ mod tests {
             store.load_masks_per_sec,
             source.replay_masks_per_sec
         );
+        assert!(serde.report_bytes_per_sec > 0.0);
+        assert!(serde.report_bytes_per_sec_tree > 0.0);
         assert!(service.requests_per_sec > 0.0);
         assert!(service.latency_ms_p50 > 0.0);
         assert!(service.latency_ms_p99 >= service.latency_ms_p50);
@@ -1752,6 +1845,7 @@ mod tests {
         assert!(doc.get("trace").is_some());
         assert!(doc.get("source").is_some());
         assert!(doc.get("store").is_some());
+        assert!(doc.get("serde").is_some());
         assert!(doc.get("sharding").is_some());
         assert!(doc.get("service").is_some());
         assert!(json.contains("steps_per_sec_batched"));
@@ -1765,6 +1859,8 @@ mod tests {
         assert!(json.contains("requests_per_sec"));
         assert!(json.contains("live_masks_per_sec"));
         assert!(json.contains("load_masks_per_sec"));
+        assert!(json.contains("report_bytes_per_sec_tree"));
+        assert!(json.contains("direct_speedup"));
         assert!(json.contains("AlexNet"));
     }
 
@@ -1791,6 +1887,7 @@ mod tests {
             },
             source: fixed_source(),
             store: fixed_store(),
+            serde: fixed_serde(),
             models: vec![],
             sharding: fixed_sharding(),
             service: fixed_service(),
@@ -1853,6 +1950,7 @@ mod tests {
             },
             source: fixed_source(),
             store: fixed_store(),
+            serde: fixed_serde(),
             models: vec![ModelBench {
                 name: "AlexNet".into(),
                 wall_seconds: 0.01,
@@ -1930,6 +2028,7 @@ mod tests {
             },
             source: fixed_source(),
             store: fixed_store(),
+            serde: fixed_serde(),
             models: vec![],
             sharding: fixed_sharding(),
             service: fixed_service(),
@@ -1986,6 +2085,7 @@ mod tests {
             },
             source: fixed_source(),
             store: fixed_store(),
+            serde: fixed_serde(),
             models: vec![],
             sharding: fixed_sharding(),
             service: fixed_service(),

@@ -56,19 +56,46 @@ impl ModelSpec {
     }
 }
 
+/// One zoo model: its name and its constructor.
+pub type ZooEntry = (&'static str, fn() -> ModelSpec);
+
+/// Every model the zoo can build, by name: the eight traced models of the
+/// paper's evaluation in figure order, then the GCN guard-rail case and
+/// the transformer-scale ViT-L MLP block. Each name is its constructor's
+/// [`ModelSpec::name`].
+pub const ZOO: [ZooEntry; 10] = [
+    ("AlexNet", alexnet),
+    ("DenseNet121", densenet121),
+    ("SqueezeNet", squeezenet),
+    ("VGG16", vgg16),
+    ("img2txt", img2txt),
+    ("resnet50_DS90", resnet50_ds90),
+    ("resnet50_SM90", resnet50_sm90),
+    ("SNLI", snli),
+    ("GCN", gcn),
+    ("ViT-L-MLP", vit_l_mlp),
+];
+
+/// How many of [`ZOO`]'s entries, from the first, are the paper's traced
+/// models.
+const PAPER_MODELS: usize = 8;
+
 /// The eight traced models of the paper's evaluation, in figure order.
 #[must_use]
 pub fn paper_models() -> Vec<ModelSpec> {
-    vec![
-        alexnet(),
-        densenet121(),
-        squeezenet(),
-        vgg16(),
-        img2txt(),
-        resnet50_ds90(),
-        resnet50_sm90(),
-        snli(),
-    ]
+    ZOO[..PAPER_MODELS]
+        .iter()
+        .map(|(_, build)| build())
+        .collect()
+}
+
+/// Builds the zoo model named `name`, matched ASCII case-insensitively;
+/// `None` when the zoo has no such model. Only that model is built.
+#[must_use]
+pub fn by_name(name: &str) -> Option<ModelSpec> {
+    ZOO.iter()
+        .find(|(entry, _)| entry.eq_ignore_ascii_case(name))
+        .map(|(_, build)| build())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -573,6 +600,35 @@ mod tests {
                 "SNLI"
             ]
         );
+    }
+
+    #[test]
+    fn every_zoo_entry_is_named_after_its_model() {
+        for (name, build) in ZOO {
+            assert_eq!(build().name, name);
+        }
+        let paper: Vec<String> = paper_models().into_iter().map(|m| m.name).collect();
+        let first: Vec<&str> = ZOO[..8].iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            paper, first,
+            "the paper's models are the table's first eight"
+        );
+    }
+
+    #[test]
+    fn lookup_is_ascii_case_insensitive() {
+        for (name, _) in ZOO {
+            for query in [
+                name.to_string(),
+                name.to_ascii_lowercase(),
+                name.to_ascii_uppercase(),
+            ] {
+                assert_eq!(by_name(&query).map(|m| m.name), Some(name.to_string()));
+            }
+        }
+        assert_eq!(by_name("vit-l-mlp").unwrap(), vit_l_mlp());
+        assert!(by_name("LeNet").is_none());
+        assert!(by_name("").is_none());
     }
 
     #[test]

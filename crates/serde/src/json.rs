@@ -1,6 +1,15 @@
-//! JSON writing and parsing for [`Value`] trees.
+//! JSON writing and parsing.
+//!
+//! [`write()`] renders any [`Serialize`] value through its
+//! [`write_json`](Serialize::write_json): report types write their text
+//! directly, hand-written impls walk their [`Value`] tree. Both paths
+//! share the helpers below ([`TableWriter`] and the array, float and
+//! string writers), so a direct writer emits exactly the bytes of
+//! `write(&x.serialize())`.
 
 use crate::value::{Error, Value};
+use crate::Serialize;
+use std::fmt::Write as _;
 
 /// Renders `value` as pretty-printed JSON (2-space indent, ordered keys,
 /// trailing newline).
@@ -8,9 +17,9 @@ use crate::value::{Error, Value};
 /// Non-finite floats have no JSON representation and are written as
 /// `null`; the workspace's report types only produce finite numbers.
 #[must_use]
-pub fn write(value: &Value) -> String {
+pub fn write<T: Serialize + ?Sized>(value: &T) -> String {
     let mut out = String::new();
-    write_value(value, 0, &mut out);
+    value.write_json(0, &mut out);
     out.push('\n');
     out
 }
@@ -53,53 +62,107 @@ fn write_value_compact(value: &Value, out: &mut String) {
     }
 }
 
-fn write_value(value: &Value, indent: usize, out: &mut String) {
+/// The pretty writer's walk over a [`Value`] tree — `Value`'s
+/// [`write_json`](Serialize::write_json).
+pub(crate) fn write_value(value: &Value, indent: usize, out: &mut String) {
     match value {
         Value::Unit => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Bool(b) => write_bool(*b, out),
+        Value::Int(i) => write_int(*i, out),
+        Value::UInt(u) => write_int(*u, out),
         Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_string(s, out),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                push_indent(indent + 1, out);
-                write_value(item, indent + 1, out);
-            }
-            out.push('\n');
-            push_indent(indent, out);
-            out.push(']');
-        }
+        Value::Array(items) => write_array(items, indent, out),
         Value::Table(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
+            let mut table = TableWriter::new(indent, out);
+            for (key, item) in entries {
+                table.field(key, item);
             }
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push('\n');
-                push_indent(indent + 1, out);
-                write_string(key, out);
-                out.push_str(": ");
-                write_value(item, indent + 1, out);
-            }
-            out.push('\n');
-            push_indent(indent, out);
-            out.push('}');
+            table.finish();
         }
     }
+}
+
+/// Writes one pretty-printed JSON table (object) entry by entry, at
+/// `indent` levels of nesting: `{}` when no entry is written, otherwise
+/// one `"key": value` line per entry, each value one level deeper.
+///
+/// ```
+/// use tensordash_serde::json::TableWriter;
+///
+/// let mut out = String::new();
+/// let mut table = TableWriter::new(0, &mut out);
+/// table.field("rows", &4u32);
+/// table.field("tags", &vec!["a"]);
+/// table.finish();
+/// assert_eq!(out, "{\n  \"rows\": 4,\n  \"tags\": [\n    \"a\"\n  ]\n}");
+/// ```
+pub struct TableWriter<'a> {
+    out: &'a mut String,
+    indent: usize,
+    empty: bool,
+}
+
+impl<'a> TableWriter<'a> {
+    /// Starts a table at `indent` levels of nesting; nothing is written
+    /// until the first entry or [`finish`](TableWriter::finish).
+    pub fn new(indent: usize, out: &'a mut String) -> Self {
+        TableWriter {
+            out,
+            indent,
+            empty: true,
+        }
+    }
+
+    /// Writes the entry `key: value`.
+    pub fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T) {
+        self.entry(key, |indent, out| value.write_json(indent, out));
+    }
+
+    /// Writes the key `key`, then lets `value` write the entry's value at
+    /// the entry's indent (for values with no [`Serialize`] type of
+    /// their own).
+    pub fn entry(&mut self, key: &str, value: impl FnOnce(usize, &mut String)) {
+        self.out.push(if self.empty { '{' } else { ',' });
+        self.empty = false;
+        self.out.push('\n');
+        push_indent(self.indent + 1, self.out);
+        write_string(key, self.out);
+        self.out.push_str(": ");
+        value(self.indent + 1, self.out);
+    }
+
+    /// Closes the table.
+    pub fn finish(self) {
+        if self.empty {
+            self.out.push_str("{}");
+        } else {
+            self.out.push('\n');
+            push_indent(self.indent, self.out);
+            self.out.push('}');
+        }
+    }
+}
+
+/// Writes `items` as a pretty-printed JSON array at `indent` levels of
+/// nesting (`[]` when empty, otherwise one item per line).
+pub(crate) fn write_array<T: Serialize>(items: &[T], indent: usize, out: &mut String) {
+    if items.is_empty() {
+        out.push_str("[]");
+        return;
+    }
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('\n');
+        push_indent(indent + 1, out);
+        item.write_json(indent + 1, out);
+    }
+    out.push('\n');
+    push_indent(indent, out);
+    out.push(']');
 }
 
 fn push_indent(indent: usize, out: &mut String) {
@@ -108,38 +171,66 @@ fn push_indent(indent: usize, out: &mut String) {
     }
 }
 
-fn write_float(f: f64, out: &mut String) {
-    if !f.is_finite() {
+/// Writes a JSON boolean.
+pub(crate) fn write_bool(b: bool, out: &mut String) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Writes an integer in decimal.
+pub(crate) fn write_int(i: impl std::fmt::Display, out: &mut String) {
+    write!(out, "{i}").expect("writing to a String cannot fail");
+}
+
+/// Writes a float so that it parses back as the same float: integral
+/// values keep a decimal point (or an exponent from 1e15 up), the rest
+/// use the shortest round-trip form, and non-finite values (which JSON
+/// cannot express) are written as `null`.
+pub(crate) fn write_float(f: f64, out: &mut String) {
+    let written = if !f.is_finite() {
         out.push_str("null");
+        Ok(())
     } else if f == f.trunc() {
         if f.abs() < 1e15 {
             // Keep a decimal point so the value parses back as a float.
-            out.push_str(&format!("{f:.1}"));
+            write!(out, "{f:.1}")
         } else {
             // Exponent form keeps huge integral floats re-parsing as
             // floats (plain digits would read back as an integer — or
             // overflow i64 entirely).
-            out.push_str(&format!("{f:e}"));
+            write!(out, "{f:e}")
         }
     } else {
         // Rust's shortest-roundtrip formatting: parses back bit-identical.
-        out.push_str(&f.to_string());
-    }
+        write!(out, "{f}")
+    };
+    written.expect("writing to a String cannot fail");
 }
 
-pub(crate) fn write_string(s: &str, out: &mut String) {
+/// Writes `s` as a quoted JSON string, escaping `"`, `\\` and control
+/// characters; everything else, non-ASCII included, is written as is.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        // Every byte that needs an escape is ASCII, so it never splits a
+        // multi-byte character: the runs between escapes are whole `str`s.
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match escape {
+            Some(escape) => out.push_str(escape),
+            None => write!(out, "\\u{byte:04x}").expect("writing to a String cannot fail"),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 

@@ -13,6 +13,14 @@
 //!   `tensordash` CLI speaks: TOML in (experiment configs), JSON out
 //!   (reports), and both ways for round-trip tests.
 //!
+//! [`json::write`] takes any [`Serialize`] value and calls its
+//! [`write_json`](Serialize::write_json). The default walks the
+//! [`serialize`](Serialize::serialize) tree; the macros, the primitives,
+//! `Vec`, slices and `Option` override it to write their text directly,
+//! so a report is written without building its tree. The byte contract:
+//! a direct writer emits exactly `json::write(&x.serialize())`, through
+//! the same table, array, float and string helpers.
+//!
 //! ```
 //! use tensordash_serde::{from_toml_str, to_toml_string, Deserialize, Serialize};
 //!
@@ -34,10 +42,21 @@ pub mod value;
 
 pub use value::{Error, Value};
 
-/// Types that can render themselves into a [`Value`] tree.
+/// Types that can render themselves into a [`Value`] tree, and write
+/// that tree's JSON text.
 pub trait Serialize {
     /// Builds the value tree.
     fn serialize(&self) -> Value;
+
+    /// Appends the pretty-printed JSON of [`serialize`](Serialize::serialize)'s
+    /// tree to `out`, nested `indent` levels deep (no trailing newline;
+    /// [`json::write`] adds that). The default walks the tree. Types on
+    /// the report path override it to write their text directly, with
+    /// no tree in between; an override must write exactly the bytes of
+    /// the default.
+    fn write_json(&self, indent: usize, out: &mut String) {
+        json::write_value(&self.serialize(), indent, out);
+    }
 }
 
 /// Types reconstructible from a [`Value`] tree.
@@ -53,7 +72,7 @@ pub trait Deserialize: Sized {
 
 /// Serializes `value` as pretty-printed JSON.
 pub fn to_json_string<T: Serialize>(value: &T) -> String {
-    json::write(&value.serialize())
+    json::write(value)
 }
 
 /// Parses a JSON document into `T`.
@@ -90,6 +109,9 @@ macro_rules! impl_serde_signed {
             fn serialize(&self) -> Value {
                 Value::Int(i64::from(*self))
             }
+            fn write_json(&self, _indent: usize, out: &mut String) {
+                json::write_int(self, out);
+            }
         }
         impl Deserialize for $t {
             fn deserialize(value: &Value) -> Result<Self, Error> {
@@ -115,6 +137,9 @@ macro_rules! impl_serde_unsigned {
                     Err(_) => Value::UInt(*self as u64),
                 }
             }
+            fn write_json(&self, _indent: usize, out: &mut String) {
+                json::write_int(self, out);
+            }
         }
         impl Deserialize for $t {
             fn deserialize(value: &Value) -> Result<Self, Error> {
@@ -132,6 +157,9 @@ impl Serialize for bool {
     fn serialize(&self) -> Value {
         Value::Bool(*self)
     }
+    fn write_json(&self, _indent: usize, out: &mut String) {
+        json::write_bool(*self, out);
+    }
 }
 
 impl Deserialize for bool {
@@ -143,6 +171,9 @@ impl Deserialize for bool {
 impl Serialize for f64 {
     fn serialize(&self) -> Value {
         Value::Float(*self)
+    }
+    fn write_json(&self, _indent: usize, out: &mut String) {
+        json::write_float(*self, out);
     }
 }
 
@@ -156,6 +187,9 @@ impl Serialize for f32 {
     fn serialize(&self) -> Value {
         Value::Float(f64::from(*self))
     }
+    fn write_json(&self, _indent: usize, out: &mut String) {
+        json::write_float(f64::from(*self), out);
+    }
 }
 
 impl Deserialize for f32 {
@@ -167,6 +201,9 @@ impl Deserialize for f32 {
 impl Serialize for String {
     fn serialize(&self) -> Value {
         Value::Str(self.clone())
+    }
+    fn write_json(&self, _indent: usize, out: &mut String) {
+        json::write_string(self, out);
     }
 }
 
@@ -180,11 +217,26 @@ impl Serialize for &str {
     fn serialize(&self) -> Value {
         Value::Str((*self).to_string())
     }
+    fn write_json(&self, _indent: usize, out: &mut String) {
+        json::write_string(self, out);
+    }
+}
+
+impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self) -> Value {
+        Value::Array(self.iter().map(Serialize::serialize).collect())
+    }
+    fn write_json(&self, indent: usize, out: &mut String) {
+        json::write_array(self, indent, out);
+    }
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn serialize(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::serialize).collect())
+        self.as_slice().serialize()
+    }
+    fn write_json(&self, indent: usize, out: &mut String) {
+        json::write_array(self, indent, out);
     }
 }
 
@@ -206,6 +258,12 @@ impl<T: Serialize> Serialize for Option<T> {
             None => Value::Unit,
         }
     }
+    fn write_json(&self, indent: usize, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(indent, out),
+            None => out.push_str("null"),
+        }
+    }
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
@@ -219,7 +277,9 @@ impl<T: Deserialize> Deserialize for Option<T> {
 
 /// Implements [`Serialize`]/[`Deserialize`] for a struct with named fields,
 /// mirroring what `#[derive(Serialize, Deserialize)]` would emit: the
-/// struct maps to a table keyed by field name.
+/// struct maps to a table keyed by field name. Its
+/// [`write_json`](Serialize::write_json) writes the table's text
+/// directly.
 ///
 /// Missing fields are an error; unknown keys are ignored (configs stay
 /// forward-compatible). Structs needing defaulted/optional fields
@@ -235,6 +295,12 @@ macro_rules! impl_serde_struct {
                         $crate::Serialize::serialize(&self.$field),
                     ),)*
                 ])
+            }
+
+            fn write_json(&self, indent: usize, out: &mut ::std::string::String) {
+                let mut table = $crate::json::TableWriter::new(indent, out);
+                $(table.field(stringify!($field), &self.$field);)*
+                table.finish();
             }
         }
 
@@ -259,6 +325,13 @@ macro_rules! impl_serde_enum {
                     $(Self::$variant => stringify!($variant),)+
                 };
                 $crate::Value::Str(name.to_string())
+            }
+
+            fn write_json(&self, _indent: usize, out: &mut ::std::string::String) {
+                let name = match self {
+                    $(Self::$variant => stringify!($variant),)+
+                };
+                $crate::json::write_string(name, out);
             }
         }
 
@@ -402,6 +475,104 @@ mod tests {
         );
         // Negative integers must not masquerade as unsigned.
         assert!(from_json_str::<Extremes>("{\"seed\": -1, \"big\": 1.0}").is_err());
+    }
+
+    /// `value`'s direct writer against the walk over its tree, at the top
+    /// level and nested.
+    fn assert_direct_matches_tree<T: Serialize + ?Sized>(value: &T) {
+        let tree = value.serialize();
+        assert_eq!(json::write(value), json::write(&tree));
+        for indent in [1, 3] {
+            let (mut direct, mut walked) = (String::new(), String::new());
+            value.write_json(indent, &mut direct);
+            tree.write_json(indent, &mut walked);
+            assert_eq!(direct, walked, "at indent {indent}");
+        }
+    }
+
+    #[test]
+    fn direct_writers_match_the_tree_for_primitives() {
+        for v in [i8::MIN, -1, 0, i8::MAX] {
+            assert_direct_matches_tree(&v);
+        }
+        assert_direct_matches_tree(&i16::MIN);
+        assert_direct_matches_tree(&i32::MAX);
+        for v in [i64::MIN, -7, i64::MAX] {
+            assert_direct_matches_tree(&v);
+        }
+        assert_direct_matches_tree(&u8::MAX);
+        assert_direct_matches_tree(&u16::MAX);
+        assert_direct_matches_tree(&u32::MAX);
+        assert_direct_matches_tree(&usize::MAX);
+        // Above i64::MAX the tree takes the `UInt` spill.
+        for v in [0, i64::MAX as u64, i64::MAX as u64 + 1, u64::MAX] {
+            assert_direct_matches_tree(&v);
+        }
+        for f in [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            1.0 / 3.0,
+            1e15 - 1.0,
+            1e15,
+            -1e15,
+            1e16,
+            2.5e300,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            5e-324,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert_direct_matches_tree(&f);
+        }
+        for f in [1.1f32, -0.0, f32::MAX, f32::NAN] {
+            assert_direct_matches_tree(&f);
+        }
+        assert_direct_matches_tree(&true);
+        assert_direct_matches_tree(&false);
+        for s in [
+            "",
+            "plain",
+            "quote \" and \\ backslash",
+            "nul \u{0} bell \u{7} tab \t nl \n cr \r us \u{1f} del \u{7f}",
+            "ünïcødé ✓ 😀",
+        ] {
+            assert_direct_matches_tree(&s);
+            assert_direct_matches_tree(&s.to_string());
+        }
+        // The formats themselves: one pinned rendering per writer branch.
+        assert_eq!(json::write(&-0.0f64), "-0.0\n");
+        assert_eq!(json::write(&2.0f64), "2.0\n");
+        assert_eq!(json::write(&1e15f64), "1e15\n");
+        assert_eq!(json::write(&0.1f64), "0.1\n");
+        assert_eq!(json::write(&f64::NAN), "null\n");
+        assert_eq!(json::write(&u64::MAX), "18446744073709551615\n");
+        assert_eq!(json::write(&"\"\\\u{1}é"), "\"\\\"\\\\\\u0001é\"\n");
+    }
+
+    #[test]
+    fn direct_writers_match_the_tree_for_containers_and_enums() {
+        assert_direct_matches_tree(&Vec::<u32>::new());
+        assert_direct_matches_tree(&vec![1u32, 2, 3]);
+        assert_direct_matches_tree(&vec![vec![], vec![1u8], vec![]]);
+        assert_direct_matches_tree(&[0.5f64, -0.0][..]);
+        assert_direct_matches_tree(&None::<u64>);
+        assert_direct_matches_tree(&Some(3u64));
+        assert_direct_matches_tree(&vec![None, Some("x".to_string()), None]);
+        assert_direct_matches_tree(&Mode::Fast);
+        assert_direct_matches_tree(&vec![Mode::Slow, Mode::Fast]);
+        assert_direct_matches_tree(&Value::Table(vec![]));
+        assert_eq!(json::write(&Value::Table(vec![])), "{}\n");
+        assert_direct_matches_tree(&sample());
+        assert_direct_matches_tree(&vec![sample(), sample()]);
+        let v = Extremes {
+            seed: u64::MAX,
+            big: f64::NEG_INFINITY,
+        };
+        assert_direct_matches_tree(&v);
     }
 
     #[test]

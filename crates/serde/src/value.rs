@@ -193,6 +193,16 @@ impl Value {
     }
 }
 
+impl crate::Serialize for Value {
+    fn serialize(&self) -> Value {
+        self.clone()
+    }
+
+    fn write_json(&self, indent: usize, out: &mut String) {
+        crate::json::write_value(self, indent, out);
+    }
+}
+
 /// A parse or shape-mismatch error, carrying the path from the document
 /// root to the offending value.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -154,6 +154,11 @@ impl<'a> SampledPlan<'a> {
         }
     }
 
+    /// Sampled masks in the operation's arena (one per window row).
+    pub(crate) fn masks(&self) -> usize {
+        self.arena.len()
+    }
+
     /// Number of bundles (work items) this operation splits into — at
     /// least one.
     pub(crate) fn bundles(&self) -> usize {

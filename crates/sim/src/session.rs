@@ -8,6 +8,10 @@
 //! being the consecutive tile row-groups of one operation that the
 //! scheduler kernel steps in flight together in one tile call (up to
 //! sixteen; [`SparsityScheduler::groups_in_flight`](tensordash_core::SparsityScheduler::groups_in_flight)).
+//! A batch of at least 4,096 sampled masks spreads its items over a
+//! scoped pool of worker threads; a smaller one (a service request at
+//! 2 windows × 16 rows is 720–1,888 masks) runs on the calling thread,
+//! where it finishes sooner than the workers would start.
 
 use crate::config::ChipConfig;
 use crate::exec::{self, ExecMode, OpSim};
@@ -140,8 +144,10 @@ impl Simulator {
 
     /// Overrides the worker-thread count used by
     /// [`simulate_batch`](Simulator::simulate_batch) (defaults to the
-    /// available parallelism, capped at 8). Results are identical at any
-    /// thread count; this only changes wall-clock time.
+    /// available parallelism, capped at 8) for batches large enough to
+    /// use workers; smaller ones run on the calling thread whatever the
+    /// count. Results are identical at any thread count; this only
+    /// changes wall-clock time.
     ///
     /// # Panics
     ///
@@ -202,6 +208,14 @@ impl Simulator {
     /// Simulates labelled groups of operations — typically one group per
     /// layer — across a scoped thread pool, returning one [`LayerReport`]
     /// per group in input order.
+    ///
+    /// A batch whose operations hold fewer than 4,096 sampled masks in
+    /// all runs on the calling thread: spawning and joining workers costs
+    /// tens of microseconds, and on a 2-core host two workers lost to
+    /// one on every batch under 2,000 masks. Larger batches (every sweep
+    /// batch is 44k masks or more) use one worker per thread (see
+    /// [`with_threads`](Simulator::with_threads)), at most one per work
+    /// item.
     ///
     /// Scheduling is **work-stealing with intra-run sharding**: every
     /// *(group, operation, bundle)* triple is one work item, and workers
@@ -273,7 +287,8 @@ impl Simulator {
             })
             .collect();
 
-        let workers = self.threads.min(items.len());
+        let masks = plans.iter().flatten().map(exec::SampledPlan::masks).sum();
+        let workers = batch_workers(masks, items.len(), self.threads);
         let run_item = |&(g, o, b): &(usize, usize, usize)| {
             let sampled = plans[g][o].run_bundle(&self.tile, b);
             slots[g][o][b]
@@ -281,7 +296,7 @@ impl Simulator {
                 .expect("each work item is claimed exactly once");
         };
         if workers <= 1 {
-            // In-thread fast path: no spawn overhead on single-core hosts.
+            // Tiny batches and single-thread sessions: no spawns.
             for item in &items {
                 if cancel.is_cancelled() {
                     return Err(Cancelled);
@@ -351,6 +366,24 @@ impl Simulator {
     }
 }
 
+/// Sampled masks below which [`Simulator::simulate_batch`] runs on the
+/// calling thread. Spawning and joining workers costs tens of
+/// microseconds, about as much as pricing 2,000 masks: on a 2-core host
+/// two workers lost to one by 33–66 µs on batches of 720–1,888 masks.
+const POOL_MIN_MASKS: usize = 4096;
+
+/// How many workers price a batch of `items` work items holding `masks`
+/// sampled masks on a session of `threads` threads: one (the calling
+/// thread) below [`POOL_MIN_MASKS`], otherwise one per thread, at most
+/// one per item.
+fn batch_workers(masks: usize, items: usize, threads: usize) -> usize {
+    if masks < POOL_MIN_MASKS {
+        1
+    } else {
+        threads.min(items)
+    }
+}
+
 impl From<ChipConfig> for Simulator {
     fn from(chip: ChipConfig) -> Self {
         Simulator::new(chip)
@@ -362,7 +395,12 @@ mod tests {
     use super::*;
     use tensordash_trace::{ConvDims, SampleSpec, SparsityGen, TrainingOp, UniformSparsity};
 
+    /// `n` forward traces of 8 windows x 18 rows (144 masks each).
     fn traces(sparsity: f64, n: u64) -> Vec<OpTrace> {
+        traces_of(sparsity, n, 8)
+    }
+
+    fn traces_of(sparsity: f64, n: u64, windows: usize) -> Vec<OpTrace> {
         let dims = ConvDims::conv_square(2, 32, 8, 32, 3, 1, 1);
         (0..n)
             .map(|seed| {
@@ -370,7 +408,7 @@ mod tests {
                     dims,
                     TrainingOp::Forward,
                     16,
-                    &SampleSpec::new(8, 64),
+                    &SampleSpec::new(windows, 64),
                     seed,
                 )
             })
@@ -383,61 +421,174 @@ mod tests {
             .unwrap()
     }
 
+    /// Sampled masks in a batch: what [`batch_workers`] sizes it by.
+    fn masks(groups: &[(&str, &[OpTrace])]) -> usize {
+        groups
+            .iter()
+            .flat_map(|(_, ops)| ops.iter())
+            .map(|trace| trace.arena_masks().len())
+            .sum()
+    }
+
+    /// The workers [`Simulator::simulate_batch`] prices `groups` with on
+    /// `sim`: the batch's masks and work items (bundles) through
+    /// [`batch_workers`].
+    fn workers(sim: &Simulator, groups: &[(&str, &[OpTrace])]) -> usize {
+        let plans: Vec<exec::SampledPlan> = groups
+            .iter()
+            .flat_map(|(_, ops)| ops.iter())
+            .map(|trace| exec::SampledPlan::new(&sim.tile, trace))
+            .collect();
+        let items = plans.iter().map(exec::SampledPlan::bundles).sum();
+        batch_workers(masks(groups), items, sim.threads)
+    }
+
+    /// On both sides of the pool floor: twelve operations of 8 windows
+    /// (1,728 masks) run on the calling thread, twelve of 32 windows
+    /// (6,912 masks) on four workers.
     #[test]
     fn batch_matches_sequential_bit_for_bit() {
-        let sim = Simulator::paper();
-        let ops = traces(0.55, 12);
-        let groups: Vec<(&str, &[OpTrace])> = ops.chunks(3).map(|c| ("layer", c)).collect();
-        let parallel = batch(&sim, &groups);
-        let sequential: Vec<LayerReport> = groups
-            .iter()
-            .map(|(label, ops)| LayerReport {
-                label: (*label).to_string(),
-                ops: ops.iter().map(|t| sim.aggregate(t)).collect(),
-            })
-            .collect();
-        assert_eq!(parallel, sequential);
-        let single_thread = batch(&sim.clone().with_threads(1), &groups);
-        assert_eq!(parallel, single_thread);
+        for (windows, pooled) in [(8, false), (32, true)] {
+            let sim = Simulator::paper().with_threads(4);
+            let ops = traces_of(0.55, 12, windows);
+            let groups: Vec<(&str, &[OpTrace])> = ops.chunks(3).map(|c| ("layer", c)).collect();
+            assert_eq!(workers(&sim, &groups) > 1, pooled, "{windows} windows");
+            let parallel = batch(&sim, &groups);
+            let sequential: Vec<LayerReport> = groups
+                .iter()
+                .map(|(label, ops)| LayerReport {
+                    label: (*label).to_string(),
+                    ops: ops.iter().map(|t| sim.aggregate(t)).collect(),
+                })
+                .collect();
+            assert_eq!(parallel, sequential);
+            let single_thread = batch(&sim.clone().with_threads(1), &groups);
+            assert_eq!(parallel, single_thread);
+        }
     }
 
     /// The work-stealing queue must behave identically at every worker
     /// count, including counts far above the item count and ragged group
-    /// shapes (heavy-tail layers are the point of stealing).
+    /// shapes (heavy-tail layers are the point of stealing). Seven
+    /// operations of 8 windows (1,008 masks) stay on the calling thread;
+    /// eleven of 32 windows (6,336 masks) go to the pool.
     #[test]
     fn work_stealing_is_thread_count_invariant() {
         let sim = Simulator::paper();
-        let ops = traces(0.7, 7);
-        let groups: Vec<(&str, &[OpTrace])> = vec![
-            ("a", &ops[0..4]),
-            ("b", &ops[4..4]),
-            ("c", &ops[4..5]),
-            ("d", &ops[5..7]),
-        ];
-        let reference = batch(&sim.clone().with_threads(1), &groups);
-        for threads in [2, 3, 8, 64] {
-            let got = batch(&sim.clone().with_threads(threads), &groups);
-            assert_eq!(got, reference, "{threads} workers diverged");
+        for (n, windows, pooled) in [(7, 8, false), (11, 32, true)] {
+            let ops = traces_of(0.7, n, windows);
+            let groups: Vec<(&str, &[OpTrace])> = vec![
+                ("a", &ops[0..4]),
+                ("b", &ops[4..4]),
+                ("c", &ops[4..5]),
+                ("d", &ops[5..]),
+            ];
+            assert_eq!(masks(&groups) >= POOL_MIN_MASKS, pooled);
+            let reference = batch(&sim.clone().with_threads(1), &groups);
+            for threads in [2, 3, 8, 64] {
+                let sim = sim.clone().with_threads(threads);
+                assert_eq!(
+                    workers(&sim, &groups) > 1,
+                    pooled,
+                    "{n} ops at {threads} threads"
+                );
+                let got = batch(&sim, &groups);
+                assert_eq!(got, reference, "{n} ops: {threads} workers diverged");
+            }
+            assert_eq!(reference[1].ops.len(), 0, "empty group keeps its slot");
         }
-        assert_eq!(reference[1].ops.len(), 0, "empty group keeps its slot");
+    }
+
+    /// The worker rule at its boundary: one mask under the floor runs on
+    /// the calling thread at any thread count, the floor itself gets one
+    /// worker per thread, at most one per item.
+    #[test]
+    fn batches_under_the_mask_floor_run_on_the_calling_thread() {
+        for threads in [1, 2, 3, 8, 64] {
+            for items in [1, 2, 5, 100] {
+                assert_eq!(batch_workers(POOL_MIN_MASKS - 1, items, threads), 1);
+                assert_eq!(
+                    batch_workers(POOL_MIN_MASKS, items, threads),
+                    threads.min(items)
+                );
+            }
+        }
+        assert_eq!(batch_workers(0, 0, 8), 1, "an empty batch spawns nothing");
+    }
+
+    /// Every calibrated `service_mix` request (AlexNet, SqueezeNet or GCN
+    /// at 2 windows x 16 rows, on 1, 2 or 4 tiles, at progress 0.2 or
+    /// 0.45 and trace seeds 0-3) prices its batch on the calling thread,
+    /// while the smallest batch of a sweep (SNLI at `EvalSpec::sweep`,
+    /// about 44k masks) still spreads over two threads.
+    #[test]
+    fn service_requests_stay_on_the_calling_thread_and_sweeps_use_the_pool() {
+        use crate::EvalSpec;
+        use tensordash_models::{layer_traces, zoo};
+        let batch_size = |sim: &Simulator, model: &str, spec: &EvalSpec| {
+            let model = zoo::by_name(model).unwrap();
+            let lanes = sim.chip().tile.pe.lanes();
+            let traces = layer_traces(&model, spec.progress, lanes, &spec.sample, spec.seed);
+            let plans: Vec<exec::SampledPlan> = traces
+                .iter()
+                .flat_map(|(_, ops)| ops)
+                .map(|trace| exec::SampledPlan::new(&sim.tile, trace))
+                .collect();
+            let masks: usize = plans.iter().map(exec::SampledPlan::masks).sum();
+            let items: usize = plans.iter().map(exec::SampledPlan::bundles).sum();
+            (masks, items)
+        };
+        for model in ["AlexNet", "SqueezeNet", "GCN"] {
+            for tiles in [1, 2, 4] {
+                let sim = Simulator::new(ChipConfig::builder().tiles(tiles).build().unwrap());
+                for progress in [0.2, 0.45] {
+                    for seed in 0..4 {
+                        let spec = EvalSpec {
+                            sample: SampleSpec::new(2, 16),
+                            progress,
+                            seed,
+                            ..EvalSpec::sweep()
+                        };
+                        let (masks, items) = batch_size(&sim, model, &spec);
+                        assert_eq!(
+                            batch_workers(masks, items, 8),
+                            1,
+                            "{model} on {tiles} tiles: {masks} masks"
+                        );
+                    }
+                }
+            }
+        }
+        let (masks, items) = batch_size(&Simulator::paper(), "SNLI", &EvalSpec::sweep());
+        assert!(
+            batch_workers(masks, items, 2) >= 2,
+            "SNLI at sweep effort: {masks} masks"
+        );
     }
 
     /// One big operation must shard into several bundles of tile
     /// row-groups (the intra-run parallelism path) and still reduce to the
     /// same bytes as the serial per-group loop at every thread count — the
     /// bundled reduction is exact `u64` sums, not floats. On 4 tile rows
-    /// the second operation's last row-group is short (37 windows) and
-    /// its 10 groups are not a multiple of the bundle size. On 1 and 2
-    /// rows, where row-groups share packed words, 37 windows are 37 and
-    /// 19 groups: two full bundles of 16 or 8 and a short third.
+    /// 37 windows leave a short last row-group, and its 10 groups are not
+    /// a multiple of the bundle size. On 1 and 2 rows, where row-groups
+    /// share packed words, 37 windows are 37 and 19 groups: two full
+    /// bundles of 16 or 8 and a short third. At 36 masks a window, those
+    /// operations run on the calling thread; the 128- and 117-window ones
+    /// (4,608 and 4,212 masks) reach the pool, 117 windows again leaving
+    /// a short row-group and a short bundle on every row count.
     #[test]
     fn intra_run_sharding_is_thread_count_invariant() {
         let dims = ConvDims::conv_square(4, 64, 14, 64, 3, 1, 1);
-        for (rows, windows, bundles, seed) in [
-            (4, 64, 4, 0x51AB),
-            (4, 37, 3, 0x7A11),
-            (1, 37, 3, 0x1A11),
-            (2, 37, 3, 0x2A11),
+        for (rows, windows, bundles, seed, pooled) in [
+            (4, 64, 4, 0x51AB, false),
+            (4, 37, 3, 0x7A11, false),
+            (1, 37, 3, 0x1A11, false),
+            (2, 37, 3, 0x2A11, false),
+            (4, 128, 8, 0x51AC, true),
+            (4, 117, 8, 0x7A12, true),
+            (1, 117, 8, 0x1A12, true),
+            (2, 117, 8, 0x2A12, true),
         ] {
             let sim = Simulator::new(ChipConfig::builder().rows(rows).build().unwrap());
             let op = UniformSparsity::new(0.6).op_trace(
@@ -474,7 +625,13 @@ mod tests {
             );
             let groups: Vec<(&str, &[OpTrace])> = vec![("mlp", &ops)];
             for threads in [1, 2, 8] {
-                let got = batch(&sim.clone().with_threads(threads), &groups);
+                let sim = sim.clone().with_threads(threads);
+                assert_eq!(
+                    workers(&sim, &groups) > 1,
+                    pooled && threads > 1,
+                    "{windows} windows on {rows} rows at {threads} threads"
+                );
+                let got = batch(&sim, &groups);
                 assert_eq!(
                     got, per_group,
                     "{windows} windows on {rows} rows: {threads} workers diverged"
@@ -506,26 +663,28 @@ mod tests {
     }
 
     /// The cancellation contract: an already-fired token stops the batch
-    /// at the first boundary on every path (single- and multi-threaded),
-    /// and an explicitly expired deadline behaves like an explicit cancel.
+    /// at the first boundary on every path — the calling thread (6
+    /// operations of 8 windows, 864 masks, or one thread) and the pool
+    /// (10 operations of 32 windows, 5,760 masks) — and an explicitly
+    /// expired deadline behaves like an explicit cancel.
     #[test]
     fn cancelled_batches_stop_at_work_item_boundaries() {
-        let sim = Simulator::paper();
-        let ops = traces(0.5, 6);
-        let groups: Vec<(&str, &[OpTrace])> = ops.chunks(2).map(|c| ("layer", c)).collect();
-
         let fired = CancelToken::unbounded();
         fired.cancel();
-        assert_eq!(sim.simulate_batch(&groups, &fired), Err(Cancelled));
-        assert_eq!(
-            sim.clone().with_threads(1).simulate_batch(&groups, &fired),
-            Err(Cancelled)
-        );
-
         // An already-passed deadline fires without an explicit cancel.
         let expired = CancelToken::with_deadline(Instant::now() - Duration::from_millis(1));
         assert!(expired.is_cancelled());
-        assert_eq!(sim.simulate_batch(&groups, &expired), Err(Cancelled));
+        for (n, windows, pooled) in [(6, 8, false), (10, 32, true)] {
+            let ops = traces_of(0.5, n, windows);
+            let groups: Vec<(&str, &[OpTrace])> = ops.chunks(2).map(|c| ("layer", c)).collect();
+            assert_eq!(masks(&groups) >= POOL_MIN_MASKS, pooled);
+            for threads in [1, 2, 3, 8, 64] {
+                let sim = Simulator::paper().with_threads(threads);
+                assert_eq!(workers(&sim, &groups) > 1, pooled && threads > 1);
+                assert_eq!(sim.simulate_batch(&groups, &fired), Err(Cancelled));
+                assert_eq!(sim.simulate_batch(&groups, &expired), Err(Cancelled));
+            }
+        }
 
         // Clones share the flag.
         let shared = CancelToken::unbounded();

@@ -1,8 +1,13 @@
 //! Property-based tests for the tile and chip simulator invariants.
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use tensordash_core::PeGeometry;
-use tensordash_sim::{ChipConfig, GroupRun, Simulator, Tile, TileConfig};
+use tensordash_serde::{json, Serialize};
+use tensordash_sim::{
+    ChipConfig, ExecMode, GroupRun, LayerReport, ModelReport, OpAggregate, OpSim, SimCounters,
+    Simulator, Tile, TileConfig,
+};
 use tensordash_trace::{
     ClusteredSparsity, ConvDims, SampleSpec, SparsityGen, TrainingOp, UniformSparsity,
 };
@@ -15,8 +20,110 @@ fn tile(rows: usize) -> Tile {
     })
 }
 
+/// Labels at the string writer's edges: quotes, backslashes, control
+/// characters and non-ASCII text.
+const LABELS: [&str; 6] = [
+    "conv1",
+    "",
+    "quote \" and \\ backslash",
+    "nul \u{0} bell \u{7} tab \t nl \n cr \r us \u{1f} del \u{7f}",
+    "ünïcødé ✓ 😀",
+    "fire2/expand\\3x3",
+];
+
+/// Sampled speedups at the float writer's edges: integral values below
+/// and above 1e15, signed zero, non-finite values (written as `null`)
+/// and shortest-round-trip fractions.
+const SPEEDUPS: [f64; 13] = [
+    1.0,
+    -0.0,
+    0.0,
+    1.9375,
+    1.0 / 3.0,
+    1e15 - 1.0,
+    1e15,
+    3e17,
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::MAX,
+    5e-324,
+];
+
+/// A counter anywhere in `u64`, with the `i64::MAX` boundary (above it
+/// the tree takes the `UInt` spill) and the extremes drawn often.
+fn counter(rng: &mut StdRng) -> u64 {
+    match rng.gen_range(0..5) {
+        0 => 0,
+        1 => u64::MAX,
+        2 => i64::MAX as u64 + rng.gen_range(0..2),
+        3 => rng.gen_range(0..1_000_000),
+        _ => rng.gen(),
+    }
+}
+
+fn op_sim(rng: &mut StdRng, mode: ExecMode) -> OpSim {
+    let mut c = || counter(rng);
+    let counters = SimCounters {
+        compute_cycles: c(),
+        dram_cycles: c(),
+        macs_issued: c(),
+        mac_slots: c(),
+        sram_read_elems: c(),
+        sram_write_elems: c(),
+        sp_accesses: c(),
+        transposer_elems: c(),
+        scheduler_steps: c(),
+        dram_read_bits: c(),
+        dram_write_bits: c(),
+    };
+    OpSim {
+        mode,
+        compute_cycles: counter(rng),
+        counters,
+        sampled_speedup: SPEEDUPS[rng.gen_range(0..SPEEDUPS.len())],
+    }
+}
+
+/// A report drawn from `seed`, with ragged (and empty) layer and op lists.
+fn random_report(seed: u64) -> ModelReport {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let layers = (0..rng.gen_range(0..5))
+        .map(|_| LayerReport {
+            label: LABELS[rng.gen_range(0..LABELS.len())].to_string(),
+            ops: (0..rng.gen_range(0..4))
+                .map(|i| OpAggregate {
+                    op: TrainingOp::ALL[i % 3],
+                    tensordash: op_sim(&mut rng, ExecMode::TensorDash),
+                    baseline: op_sim(&mut rng, ExecMode::Baseline),
+                })
+                .collect(),
+        })
+        .collect();
+    ModelReport {
+        name: LABELS[rng.gen_range(0..LABELS.len())].to_string(),
+        layers,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The report types write JSON directly, with no `Value` tree: the
+    /// text must be exactly the tree's, at the top level and nested, for
+    /// reports, layer lists and ops alike.
+    #[test]
+    fn direct_report_json_is_the_tree_json(seed in any::<u64>()) {
+        let report = random_report(seed);
+        prop_assert_eq!(json::write(&report), json::write(&report.serialize()));
+        prop_assert_eq!(json::write(&report.layers), json::write(&report.layers.serialize()));
+        for indent in [1, 4] {
+            let (mut direct, mut tree) = (String::new(), String::new());
+            report.write_json(indent, &mut direct);
+            report.serialize().write_json(indent, &mut tree);
+            prop_assert_eq!(direct, tree);
+        }
+    }
 
     /// Tile invariant: cycles are bounded by the dense stream length below
     /// and by the depth-limited minimum above, and every effectual slot is
@@ -111,13 +218,14 @@ proptest! {
     fn work_stealing_batch_equals_sequential(
         seed in any::<u64>(),
         sparsity in 0.1f64..0.9,
-        n_groups in 1usize..5,
+        n_groups in 3usize..7,
         threads in 1usize..9,
     ) {
         use tensordash_sim::LayerReport;
         use tensordash_trace::OpTrace;
         let dims = ConvDims::conv_square(2, 32, 8, 32, 3, 1, 1);
-        // Ragged group sizes (0..=2 ops per layer) stress the stealing.
+        // Ragged group sizes (0..=2 ops per layer) stress the stealing;
+        // any three consecutive layers hold three ops.
         let ops: Vec<Vec<OpTrace>> = (0..n_groups)
             .map(|g| {
                 (0..(seed as usize + g) % 3)
@@ -126,13 +234,18 @@ proptest! {
                             dims,
                             TrainingOp::ALL[o % 3],
                             16,
-                            &SampleSpec::new(8, 48),
+                            &SampleSpec::new(80, 48),
                             seed ^ (g as u64) << 4 ^ o as u64,
                         )
                     })
                     .collect()
             })
             .collect();
+        // Three ops of 80 windows x 18 rows reach the 4,096 sampled masks
+        // from which a batch leaves the calling thread for the worker
+        // pool, so every thread count above one is priced by the pool.
+        let masks: usize = ops.iter().flatten().map(|t| t.arena_masks().len()).sum();
+        prop_assert!(masks >= 4096, "{masks} masks stay on the calling thread");
         let labels: Vec<String> = (0..n_groups).map(|g| format!("layer{g}")).collect();
         let groups: Vec<(&str, &[OpTrace])> = labels
             .iter()
