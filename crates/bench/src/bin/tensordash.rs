@@ -359,9 +359,10 @@ fn run_bench(args: &[String]) -> Result<(), String> {
         summary.service.latency_ms_p99
     );
     println!(
-        "total {:.2}s on {} cores{}  -> wrote {}",
+        "total {:.2}s on {} cores ({} synthesis){}  -> wrote {}",
         summary.total_wall_seconds,
         summary.nproc,
+        summary.synthesis,
         summary
             .steal_ticks
             .map_or(String::new(), |t| format!(", {t} steal ticks")),

@@ -75,9 +75,9 @@ use tensordash_serde::{json, Serialize, Value};
 use tensordash_sim::{ChipConfig, EvalSpec, Simulator};
 use tensordash_tensor::Tensor;
 use tensordash_trace::{
-    extract_op_trace, extract_op_trace_reference, ClusteredSparsity, ConvDims, LayerTensors,
-    OpTrace, RecordedSource, SampleSpec, SparsityGen, TraceRecording, TraceRequest, TraceSource,
-    TrainingOp,
+    extract_op_trace, extract_op_trace_reference, synthesis_path, ClusteredSparsity, ConvDims,
+    LayerTensors, OpTrace, RecordedSource, SampleSpec, SparsityGen, TraceRecording, TraceRequest,
+    TraceSource, TrainingOp,
 };
 
 /// How `tensordash bench` should run.
@@ -331,6 +331,10 @@ pub struct BenchSummary {
     /// Logical CPUs this process could run on (what `nproc` prints). Rates
     /// from two BENCH files only compare directly at equal counts.
     pub nproc: usize,
+    /// The trace-synthesis path this host ran: `"avx512"` (eight windows
+    /// per step) or `"scalar"` ([`tensordash_trace::synthesis_path`]).
+    /// Synthesis rates only compare directly between equal paths.
+    pub synthesis: &'static str,
     /// Clock ticks of CPU the hypervisor stole from this host during the
     /// run (the 8th number of `/proc/stat`'s `cpu` line, read before and
     /// after); `None` where that file cannot be read. Recorded, not gated:
@@ -558,6 +562,7 @@ impl BenchSummary {
             ("schema".into(), Value::Str(BENCH_SCHEMA.into())),
             ("smoke".into(), Value::Bool(self.smoke)),
             ("nproc".into(), self.nproc.serialize()),
+            ("synthesis".into(), Value::Str(self.synthesis.into())),
         ];
         if let Some(ticks) = self.steal_ticks {
             doc.push(("steal_ticks".into(), ticks.serialize()));
@@ -1596,6 +1601,7 @@ pub fn run(options: &BenchOptions) -> std::io::Result<(PathBuf, BenchSummary)> {
     let summary = BenchSummary {
         smoke: options.smoke,
         nproc: std::thread::available_parallelism().map_or(1, usize::from),
+        synthesis: synthesis_path(),
         kernel: kernel(&rate),
         schedulers: schedulers(&rate),
         trace: trace(&rate),
@@ -1832,6 +1838,10 @@ mod tests {
             doc.get("nproc").unwrap().as_u64().unwrap(),
             summary.nproc as u64
         );
+        assert_eq!(
+            doc.get("synthesis").unwrap().as_str().unwrap(),
+            synthesis_path()
+        );
         // Steal is recorded wherever `/proc/stat` reads, and left out
         // elsewhere.
         assert_eq!(
@@ -1869,6 +1879,7 @@ mod tests {
         let summary = BenchSummary {
             smoke: true,
             nproc: 2,
+            synthesis: "scalar",
             steal_ticks: None,
             kernel: KernelBench {
                 steps_per_sec_batched: 5.0e6, // half the baseline: regressed
@@ -1932,6 +1943,7 @@ mod tests {
         let summary = BenchSummary {
             smoke: false,
             nproc: 2,
+            synthesis: "scalar",
             steal_ticks: None,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0e7,
@@ -2010,6 +2022,7 @@ mod tests {
         let summary = BenchSummary {
             smoke: true,
             nproc: 2,
+            synthesis: "scalar",
             steal_ticks: None,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0,
@@ -2067,6 +2080,7 @@ mod tests {
         let mut summary = BenchSummary {
             smoke: true,
             nproc: 2,
+            synthesis: "scalar",
             steal_ticks: None,
             kernel: KernelBench {
                 steps_per_sec_batched: 1.0,

@@ -316,6 +316,7 @@ fn bench_smoke_writes_a_perf_report() {
     for key in [
         "tensordash-bench/12",
         "\"nproc\"",
+        "\"synthesis\"",
         "group_masks_per_sec_one_group",
         "in_flight_speedup",
         "group_masks_per_sec_one_row",

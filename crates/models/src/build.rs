@@ -2,11 +2,8 @@
 
 use crate::profile::SparsityProfile;
 use crate::zoo::{LayerSpec, ModelSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use tensordash_trace::{
-    ClusteredSparsity, ConvDims, OpTrace, SampleSpec, SparsityGen, TraceArena, TrafficVolumes,
-    TrainingOp,
+    synthesize_arena, ClusteredSparsity, ConvDims, OpTrace, SampleSpec, TrafficVolumes, TrainingOp,
 };
 
 /// Builds the trace of one operation of one layer at training progress `t`.
@@ -34,24 +31,12 @@ pub fn build_op_trace(
         TrainingOp::WeightGrad => profile.weight_grad_at(progress, depth_frac),
     };
     let gen = ClusteredSparsity::new(sched_sparsity, profile.clustering);
-    let mut rng = StdRng::seed_from_u64(seed);
 
     let total_windows = dims.windows(op);
     let total_rows = dims.rows_per_window(op, lanes);
     let n_windows = sample.max_windows.min(total_windows as usize);
     let rows = sample.max_rows.min(total_rows as usize);
-    let mut arena = TraceArena::with_capacity(n_windows, rows);
-    for i in 0..n_windows {
-        arena.push_window_with(|buf| {
-            gen.window_masks_into(
-                &mut rng,
-                seed.wrapping_mul(31).wrapping_add(i as u64),
-                rows,
-                lanes,
-                buf,
-            );
-        });
-    }
+    let arena = synthesize_arena(&gen, n_windows, rows, lanes, seed, seed.wrapping_mul(31));
 
     let act_density = 1.0 - profile.act_at(progress, depth_frac);
     let grad_density = 1.0 - profile.grad_at(progress, depth_frac);

@@ -35,7 +35,9 @@
 //! ([`record`]) and the compact binary `tensordash-trace/2` ([`binfmt`])
 //! whose load path is a near-memcpy walk over the mask arena.
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one feature-checked call into the AVX-512
+// synthesis kernel (`sparsity::draw_batched`) allows it locally.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod binfmt;
@@ -57,7 +59,9 @@ pub use record::{
     RECORDING_SCHEMA,
 };
 pub use source::{LayerOps, SourceError, TraceRequest, TraceSource};
-pub use sparsity::{ClusteredSparsity, SparsityGen, UniformSparsity};
+pub use sparsity::{
+    synthesis_path, synthesize_arena, ClusteredSparsity, SparsityGen, UniformSparsity,
+};
 pub use stats::{potential_speedup, OpStats};
 pub use stream::{
     lane_mask, OpTrace, SampleSpec, TraceArena, TrafficVolumes, WindowSpan, WindowTrace,

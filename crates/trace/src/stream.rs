@@ -72,6 +72,24 @@ impl TraceArena {
         });
     }
 
+    /// Appends `windows` windows of `rows` rows each, letting `fill` write
+    /// all of them at once into one zeroed `windows × rows` slice, window
+    /// `k` at rows `k·rows ..`: the batch generators' entry.
+    pub(crate) fn push_windows_with(
+        &mut self,
+        windows: usize,
+        rows: usize,
+        fill: impl FnOnce(&mut [u64]),
+    ) {
+        let offset = self.masks.len();
+        self.masks.resize(offset + windows * rows, 0);
+        fill(&mut self.masks[offset..]);
+        self.spans.extend((0..windows).map(|k| WindowSpan {
+            offset: offset + k * rows,
+            rows,
+        }));
+    }
+
     /// Number of windows pushed so far.
     #[must_use]
     pub fn windows(&self) -> usize {
